@@ -47,7 +47,8 @@ from .evaluation import (
     score_pairs,
 )
 from .features import build_lexicon, normalize_predicates, LexiconSet
-from .lattice import viterbi, viterbi_subset_scores
+from .engine import Batch
+from .lattice import _BestPaths
 from .model import FIRST_ORDER, SECOND_ORDER, build_model, load_model, save_model
 from .training import TrainConfig, direct_train, em_train
 
@@ -442,7 +443,9 @@ def cmd_align(args) -> int:
     model = load_model(args.model)
     if args.subset not in ("match", "mismatch", "best"):
         raise CliError("--subset must be match, mismatch, or best")
-    v0, v1 = viterbi_subset_scores(model, args.x, args.y)
+    batch = Batch(model, [(args.x, args.y)])
+    paths = _BestPaths(batch, batch.edge_weights(model.params))
+    v0, v1 = (float(v[0]) for v in paths.subset_scores())
     if v0 == -np.inf and v1 == -np.inf:
         raise NoPathError("no complete alignment in either subset")
     higher = "match" if v1 >= v0 else "mismatch"
@@ -452,7 +455,7 @@ def cmd_align(args) -> int:
     wanted = [args.subset] if args.subset != "best" else [higher]
     for name in wanted:
         z = 1 if name == "match" else 0
-        alignment = viterbi(model, args.x, args.y, constraint=z)
+        alignment, _ = paths.alignment(0, z)
         print(f"[{name}]")
         for line in render_alignment_grid(args.x, args.y, alignment):
             print(line)

@@ -19,7 +19,6 @@ import weakref
 
 import numpy as np
 from scipy import sparse
-from scipy.special import logsumexp
 
 from . import edits
 from .errors import DegenerateInputError, NoPathError
@@ -56,9 +55,6 @@ class SigTable:
             self._fids.append(fids)
             self._matrix = None
         return sid
-
-    def feature_ids(self, sig: int) -> np.ndarray:
-        return self._fids[sig]
 
     def matrix(self) -> sparse.csr_matrix:
         """Sparse (n_sigs, n_features) indicator matrix."""
@@ -373,6 +369,13 @@ def _segment_logsumexp(vals: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return np.where(finite, out, NEG_INF)
 
 
+# Semirings of the forward sweep as (segmented reduce, elementwise combine):
+# log-sum for alignment mass, max for best-path scores, which max leaves
+# exactly equal to the best alpha[src] + w.
+LOG_SUM = (_segment_logsumexp, np.logaddexp)
+MAX = (np.maximum.reduceat, np.maximum)
+
+
 class Batch:
     """Merged, sweep-ready lattices for one or more string pairs."""
 
@@ -501,7 +504,8 @@ class Batch:
                 pruned = pruned or bool(np.isfinite(vals[kill]).any())
         return kill_by_diag, pruned
 
-    def _sweep_forward(self, w: np.ndarray, kill_by_diag=None) -> np.ndarray:
+    def _sweep_forward(self, w: np.ndarray, kill_by_diag=None, semiring=LOG_SUM) -> np.ndarray:
+        reduce, combine = semiring
         alpha = np.full(self.n_nodes, NEG_INF)
         alpha[self.start_ids] = 0.0
         for d in range(self.n_diags):
@@ -513,9 +517,9 @@ class Batch:
             vals = alpha[self.src[lo:hi]] + w[lo:hi]
             s_lo, s_hi = self.fwd_seg_ptr[d], self.fwd_seg_ptr[d + 1]
             starts = self.fwd_seg_starts[s_lo:s_hi] - lo
-            seg = _segment_logsumexp(vals, starts)
+            seg = reduce(vals, starts)
             dsts = self.fwd_seg_dst[s_lo:s_hi]
-            alpha[dsts] = np.logaddexp(alpha[dsts], seg)
+            alpha[dsts] = combine(alpha[dsts], seg)
         return alpha
 
     def forward(self, w: np.ndarray, beam: Optional[int] = None) -> Tuple[np.ndarray, bool]:
@@ -553,8 +557,10 @@ class Batch:
     # -- aggregates ---------------------------------------------------
 
     def log_partitions(self, alpha: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        lz0 = logsumexp(alpha[self.acc0], axis=1)
-        lz1 = logsumexp(alpha[self.acc1], axis=1)
+        lz0, lz1 = (
+            _segment_logsumexp(alpha[acc].ravel(), np.arange(0, acc.size, acc.shape[1]))
+            for acc in (self.acc0, self.acc1)
+        )
         return lz0, lz1
 
     def posterior_counts(
@@ -564,15 +570,26 @@ class Batch:
         beta: np.ndarray,
         log_norm: np.ndarray,
         edge_mask: Optional[np.ndarray] = None,
+        by_pair: bool = False,
     ) -> np.ndarray:
-        """Expected feature counts under edge posteriors alpha*w*beta/norm."""
+        """Expected feature counts under edge posteriors alpha*w*beta/norm;
+        with by_pair, one row per pair."""
         logp = alpha[self.src] + w + beta[self.dst] - log_norm[self.pair_of_edge]
         if edge_mask is not None:
             logp = np.where(edge_mask, logp, NEG_INF)
         p = np.exp(logp)
+        if by_pair:
+            return self.counts_by_pair(p)
         n_sigs = len(self.runtime.sig_table)
         mass = np.bincount(self.sig, weights=p, minlength=n_sigs)
         return self.runtime.sig_table.matrix().T @ mass
+
+    def counts_by_pair(self, edge_mass: np.ndarray) -> np.ndarray:
+        """Feature counts per pair of a per-edge mass: one bincount over (pair, signature)."""
+        n_sigs = len(self.runtime.sig_table)
+        key = self.pair_of_edge.astype(np.int64) * n_sigs + self.sig
+        mass = np.bincount(key, weights=edge_mass, minlength=self.n_pairs * n_sigs)
+        return np.ascontiguousarray(mass.reshape(self.n_pairs, -1) @ self.runtime.sig_table.matrix())
 
     def check_paths(self, lz: np.ndarray, what: str) -> None:
         bad = np.flatnonzero(~np.isfinite(lz))
@@ -592,6 +609,7 @@ class Expectations:
     counts_all: Optional[np.ndarray]
     counts_clamped: Optional[np.ndarray]
     pruned: bool
+    clamped_by_pair: Optional[np.ndarray] = None
 
 
 def expectations(
@@ -600,18 +618,19 @@ def expectations(
     labels: Optional[np.ndarray] = None,
     beam: Optional[int] = None,
     want_counts: bool = True,
+    per_pair: bool = False,
 ) -> Expectations:
     """Partition functions and (optionally) expected feature counts.
 
     When labels are given, also accumulates counts clamped to each pair's
-    true-label subset, the E-step quantity.
+    true-label subset, the E-step quantity, and with per_pair each pair's.
     """
     w = batch.edge_weights(params)
     alpha, pruned = batch.forward(w, beam)
     lz0, lz1 = batch.log_partitions(alpha)
     logz = np.logaddexp(lz0, lz1)
     batch.check_paths(logz, "unconstrained")
-    counts_all = counts_clamped = None
+    counts_all = counts_clamped = clamped_by_pair = None
     if want_counts or labels is not None:
         beta = batch.backward(w)
         if want_counts:
@@ -622,6 +641,8 @@ def expectations(
             batch.check_paths(lz_true, "true-label subset")
             mask = batch.subset == labels[batch.pair_of_edge]
             counts_clamped = batch.posterior_counts(w, alpha, beta, lz_true, mask)
+            if per_pair:
+                clamped_by_pair = batch.posterior_counts(w, alpha, beta, lz_true, mask, by_pair=True)
     return Expectations(
         lz0=lz0,
         lz1=lz1,
@@ -629,4 +650,5 @@ def expectations(
         counts_all=counts_all,
         counts_clamped=counts_clamped,
         pruned=pruned,
+        clamped_by_pair=clamped_by_pair,
     )

@@ -14,10 +14,10 @@ import numpy as np
 
 from . import edits
 from .data import LabeledPair, split_pairs
-from .engine import Batch, expectations
+from .engine import Batch
 from .errors import EditCrfError
 from .features import build_lexicon
-from .lattice import viterbi_match_score
+from .lattice import _BestPaths
 from .model import FIRST_ORDER, FsmModel, build_model
 from .training import TrainConfig, em_train
 
@@ -142,14 +142,18 @@ def score_pairs(
     """Match posteriors for a pair list, in input order."""
     if not pairs:
         return []
+    if inference not in ("fb", "viterbi"):
+        raise ValueError("inference must be 'fb' or 'viterbi'")
+    batch = Batch(model, [(p.x, p.y) for p in pairs], pair_ids=[p.pair_id for p in pairs])
+    w = batch.edge_weights(model.params)
     if inference == "fb":
-        batch = Batch(model, [(p.x, p.y) for p in pairs], pair_ids=[p.pair_id for p in pairs])
-        exp = expectations(batch, model.params, beam=beam, want_counts=False)
-        probs = np.exp(exp.lz1 - exp.logz)
-        return [(p.pair_id, float(pr), p.z) for p, pr in zip(pairs, probs)]
-    if inference == "viterbi":
-        return [(p.pair_id, viterbi_match_score(model, p.x, p.y), p.z) for p in pairs]
-    raise ValueError("inference must be 'fb' or 'viterbi'")
+        lz0, lz1 = batch.log_partitions(batch.forward(w, beam)[0])
+    else:
+        lz0, lz1 = _BestPaths(batch, w).subset_scores()
+    total = np.logaddexp(lz0, lz1)
+    batch.check_paths(total, "either subset")
+    probs = np.exp(lz1 - total)
+    return [(p.pair_id, float(pr), p.z) for p, pr in zip(pairs, probs)]
 
 
 def apply_transitive_closure(

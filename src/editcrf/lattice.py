@@ -1,11 +1,13 @@
 """Exact inference over the (i, j, state) edit lattice of one string pair.
 
-All quantities live in natural-log space.  The forward pass sums alignment
-mass in anti-diagonal order; the backward pass completes it so that edge
-posteriors and expected feature counts come from alpha + potential + beta
-minus the relevant log-partition.  A max-product pass recovers the single
-best alignment with a deterministic tie-breaking rule, and a brute-force
-enumerator over tiny inputs serves as an independent oracle.
+All quantities live in natural-log space.  One anti-diagonal forward sweep
+runs in two semirings.  In log-sum it totals alignment mass; the backward
+pass completes it so that edge posteriors and expected feature counts come
+from alpha + potential + beta minus the relevant log-partition.  In max it
+scores best paths, and the edges whose sums reach their end node exactly
+give the single best alignment.  Ties go to the shortest alignment, then
+the smallest operation-name sequence, then the smallest state-id sequence.
+A brute-force enumerator over tiny inputs serves as an independent oracle.
 """
 
 from dataclasses import dataclass
@@ -14,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import edits
-from .engine import Batch, expectations
+from .engine import MAX, Batch, expectations
 from .errors import DegenerateInputError, NoPathError
 from .features import extract
 from .model import Q0, FsmModel
@@ -148,39 +150,105 @@ def expected_feature_counts(
     model: FsmModel, x: str, y: str, constraint: Constraint = "all"
 ) -> np.ndarray:
     """Posterior-expected feature counts, optionally within one subset."""
-    lattice = backward(model, x, y)
-    batch, w = lattice.batch, lattice.w
-    lz0, lz1 = batch.log_partitions(lattice.alpha)
-    if constraint == "all":
-        ref = np.array([np.logaddexp(lz0[0], lz1[0])])
-        mask = None
-    elif constraint in (0, 1):
-        ref = np.array([lz1[0] if constraint == 1 else lz0[0]])
-        mask = batch.subset == constraint
-    else:
+    if constraint not in ("all", 0, 1):
         raise ValueError(f"constraint must be 'all', 0, or 1, got {constraint!r}")
-    if not np.isfinite(ref[0]):
-        raise NoPathError(f"no complete alignment under constraint {constraint!r}")
-    return batch.posterior_counts(w, lattice.alpha, lattice.beta, ref, mask)
+    labels = None if constraint == "all" else np.array([constraint])
+    exp = expectations(Batch(model, [(x, y)]), model.params, labels, want_counts=labels is None)
+    return exp.counts_all if labels is None else exp.counts_clamped
 
 
-def _path_edge_indices(parent: np.ndarray, src: np.ndarray, node: int) -> List[int]:
-    out = []
-    while parent[node] >= 0:
-        k = int(parent[node])
-        out.append(k)
-        node = int(src[k])
-    out.reverse()
-    return out
+class _BestPaths:
+    """Best paths of every pair of a batch from one max-product sweep,
+    which serves "all", S0 and S1 at once: they share no node after q0.
 
+    An edge is tight when score[src] + w == score[dst], exactly, as the
+    sweep added the same two floats.  A node's parent is its tight incoming
+    edge; where several tie, the tie-break of :func:`viterbi` picks one.
+    """
 
-def _path_key(batch: Batch, parent, node) -> Tuple[int, Tuple[str, ...], Tuple[int, ...]]:
-    ks = _path_edge_indices(parent, batch.src, node)
-    ops = tuple(batch.model.ops[batch.op_idx[k]] for k in ks)
-    states = tuple(
-        batch.runtime.states[batch.graphs[0].node_cell(int(batch.dst[k]))[2]] for k in ks
-    )
-    return (len(ks), ops, states)
+    def __init__(self, batch: Batch, w: np.ndarray):
+        self.batch, self.w = batch, w
+        self.score = batch._sweep_forward(w, semiring=MAX)
+        self._parent: Optional[np.ndarray] = None
+
+    def subset_scores(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Best-path score of each pair in S0 and in S1; -inf when none."""
+        return self.score[self.batch.acc0].max(axis=1), self.score[self.batch.acc1].max(axis=1)
+
+    def parents(self) -> np.ndarray:
+        """Chosen incoming edge of every node; -1 where there is none."""
+        if self._parent is None:
+            b, score = self.batch, self.score
+            from_score = score[b.src]
+            tight = np.flatnonzero(np.isfinite(from_score) & (from_score + self.w == score[b.dst]))
+            to = b.dst[tight]
+            self._parent = parent = np.full(b.n_nodes, -1, dtype=np.int64)
+            parent[to] = tight
+            tied = tight[np.bincount(to, minlength=b.n_nodes)[to] > 1]
+            if len(tied):
+                tied = tied[np.argsort(b.dst[tied], kind="stable")]
+                # Node ids follow row-major cells and every edge moves down
+                # or right, so in ascending order a tie is settled after
+                # every tie among its ancestors.
+                for group in np.split(tied, np.flatnonzero(np.diff(b.dst[tied])) + 1):
+                    parent[b.dst[group[0]]] = min(group, key=self._key)
+        return self._parent
+
+    def best_nodes(self, constraint: Constraint) -> np.ndarray:
+        """Accepting node that ends each pair's best path; -1 when none."""
+        b = self.batch
+        if constraint == "all":
+            acc = np.concatenate((b.acc0, b.acc1), axis=1)
+        elif constraint in (0, 1):
+            acc = b.acc1 if constraint == 1 else b.acc0
+        else:
+            raise ValueError(f"constraint must be 'all', 0, or 1, got {constraint!r}")
+        vals = self.score[acc]
+        rows, pick = np.arange(b.n_pairs), vals.argmax(axis=1)
+        best = vals[rows, pick]
+        out = np.where(np.isfinite(best), acc[rows, pick], -1)
+        n_best = np.count_nonzero(vals == best[:, None], axis=1)
+        for p in np.flatnonzero(np.isfinite(best) & (n_best > 1)):
+            out[p] = min(acc[p][vals[p] == best[p]], key=lambda n: self._key(self.parents()[n]))
+        return out
+
+    def path_edges(self, nodes: np.ndarray) -> np.ndarray:
+        """Edges of the best paths ending at the given nodes, traced together."""
+        parent, out = self.parents(), []
+        k = parent[nodes]
+        while len(k):
+            out.append(k[k >= 0])
+            k = parent[self.batch.src[out[-1]]]
+        return np.concatenate(out)
+
+    def alignment(self, pair: int, constraint: Constraint) -> Tuple[Alignment, List[int]]:
+        """A pair's best alignment under the constraint, and its edges."""
+        node = self.best_nodes(constraint)[pair]
+        if node < 0:
+            raise NoPathError(f"no complete alignment under constraint {constraint!r}")
+        ks = self._path(self.parents()[node])
+        ops, ix, iy, states = zip(*[self._step(k) for k in ks])
+        return Alignment(ops, ix, iy, states, score=float(self.score[node])), ks
+
+    def _path(self, k: int) -> List[int]:
+        """Edges of the path that ends with edge k, following parents back."""
+        out = []
+        while k >= 0:
+            out.append(int(k))
+            k = self._parent[self.batch.src[k]]
+        return out[::-1]
+
+    def _step(self, k: int) -> Tuple[str, int, int, int]:
+        """(operation, landed i, landed j, state) of edge k."""
+        b = self.batch
+        pair = b.pair_of_edge[k]
+        i, j, s_idx = b.graphs[pair].node_cell(int(b.dst[k] - b.node_offset[pair]))
+        return b.model.ops[b.op_idx[k]], i, j, b.runtime.states[s_idx]
+
+    def _key(self, k: int) -> Tuple[int, Tuple[str, ...], Tuple[int, ...]]:
+        """Tie-break key of the path that ends with edge k."""
+        ops, _, _, states = zip(*[self._step(e) for e in self._path(k)])
+        return len(ops), ops, states
 
 
 def viterbi(model: FsmModel, x: str, y: str, constraint: Constraint = "all") -> Alignment:
@@ -190,9 +258,7 @@ def viterbi(model: FsmModel, x: str, y: str, constraint: Constraint = "all") -> 
     lexicographically by operation-name sequence, then by state ids.
     """
     batch = Batch(model, [(x, y)])
-    w = batch.edge_weights(model.params)
-    alignment, _ = viterbi_on_batch(batch, w, constraint)
-    return alignment
+    return viterbi_on_batch(batch, batch.edge_weights(model.params), constraint)[0]
 
 
 def viterbi_on_batch(
@@ -203,83 +269,14 @@ def viterbi_on_batch(
     Returns the best alignment and the indices of its batch edges, which
     lets callers accumulate feature counts without re-extraction.
     """
-    model = batch.model
-    if constraint == "all":
-        mask = np.ones(batch.n_edges, dtype=bool)
-    elif constraint in (0, 1):
-        mask = batch.subset == constraint
-    else:
-        raise ValueError(f"constraint must be 'all', 0, or 1, got {constraint!r}")
-    score = np.full(batch.n_nodes, -np.inf)
-    score[0] = 0.0
-    parent = np.full(batch.n_nodes, -1, dtype=np.int64)
-    length = np.zeros(batch.n_nodes, dtype=np.int64)
-
-    def candidate_key(k: int) -> Tuple[int, Tuple[str, ...], Tuple[int, ...]]:
-        base = _path_key(batch, parent, int(batch.src[k]))
-        op = model.ops[batch.op_idx[k]]
-        state = batch.runtime.states[batch.graphs[0].node_cell(int(batch.dst[k]))[2]]
-        return (base[0] + 1, base[1] + (op,), base[2] + (state,))
-
-    for k in range(batch.n_edges):
-        if not mask[k]:
-            continue
-        s = score[batch.src[k]]
-        if s == -np.inf:
-            continue
-        cand = s + w[k]
-        d = int(batch.dst[k])
-        if cand > score[d]:
-            score[d] = cand
-            parent[d] = k
-            length[d] = length[batch.src[k]] + 1
-        elif cand == score[d] and candidate_key(k) < _path_key(batch, parent, d):
-            parent[d] = k
-            length[d] = length[batch.src[k]] + 1
-    if constraint == "all":
-        acc = np.concatenate([batch.acc0[0], batch.acc1[0]])
-    else:
-        acc = (batch.acc1 if constraint == 1 else batch.acc0)[0]
-    best = None
-    for node in acc:
-        node = int(node)
-        if score[node] == -np.inf:
-            continue
-        if best is None or score[node] > score[best] or (
-            score[node] == score[best]
-            and _path_key(batch, parent, node) < _path_key(batch, parent, best)
-        ):
-            best = node
-    if best is None:
-        raise NoPathError(f"no complete alignment under constraint {constraint!r}")
-    ks = _path_edge_indices(parent, batch.src, best)
-    g = batch.graphs[0]
-    ops, ix, iy, states = [], [], [], []
-    for k in ks:
-        i, j, s_idx = g.node_cell(int(batch.dst[k]))
-        ops.append(model.ops[batch.op_idx[k]])
-        ix.append(i)
-        iy.append(j)
-        states.append(batch.runtime.states[s_idx])
-    alignment = Alignment(
-        edits=tuple(ops),
-        ix=tuple(ix),
-        iy=tuple(iy),
-        states=tuple(states),
-        score=float(score[best]),
-    )
-    return alignment, ks
+    return _BestPaths(batch, w).alignment(0, constraint)
 
 
 def viterbi_subset_scores(model: FsmModel, x: str, y: str) -> Tuple[float, float]:
     """Best-path log-scores in (S0, S1); -inf when a subset has no path."""
-    out = []
-    for z in (0, 1):
-        try:
-            out.append(viterbi(model, x, y, constraint=z).score)
-        except NoPathError:
-            out.append(-np.inf)
-    return out[0], out[1]
+    batch = Batch(model, [(x, y)])
+    v0, v1 = _BestPaths(batch, batch.edge_weights(model.params)).subset_scores()
+    return float(v0[0]), float(v1[0])
 
 
 def viterbi_match_score(model: FsmModel, x: str, y: str) -> float:

@@ -26,7 +26,7 @@ from scipy.optimize import minimize
 from . import edits
 from .engine import Batch, expectations
 from .errors import NumericalError
-from .lattice import expected_feature_counts, viterbi_on_batch
+from .lattice import _BestPaths
 from .model import FsmModel
 
 logger = logging.getLogger("editcrf.training")
@@ -173,30 +173,20 @@ class EStepResult:
 def e_step(model: FsmModel, corpus, keep_per_pair: bool = True) -> EStepResult:
     """Expected feature counts clamped to each pair's true-label subset."""
     batch, labels = _corpus_batch(model, corpus)
-    exp = expectations(batch, model.params, labels=labels, beam=None, want_counts=False)
+    exp = expectations(batch, model.params, labels, want_counts=False, per_pair=keep_per_pair)
     lz_true = np.where(labels == 1, exp.lz1, exp.lz0)
-    per_pair = None
-    if keep_per_pair:
-        per_pair = [
-            expected_feature_counts(model, p.x, p.y, constraint=p.z) for p in corpus
-        ]
     return EStepResult(
         clamped_total=exp.counts_clamped,
-        per_pair_counts=per_pair,
+        per_pair_counts=list(exp.clamped_by_pair) if keep_per_pair else None,
         constrained_logzs=lz_true,
     )
-
-
-def _pack_posterior_terms(batch, params, beam):
-    exp = expectations(batch, params, labels=None, beam=beam, want_counts=True)
-    return exp
 
 
 def _mstep_on_batch(batch, clamped: np.ndarray, params0: np.ndarray, config: TrainConfig) -> np.ndarray:
     sigma2 = config.sigma2
 
     def neg_q(params):
-        exp = _pack_posterior_terms(batch, params, config.beam)
+        exp = expectations(batch, params, beam=config.beam)
         q = float(clamped @ params - np.sum(exp.logz) - np.sum(np.square(params)) / sigma2)
         grad = clamped - exp.counts_all - 2.0 * params / sigma2
         if not np.isfinite(q) or not np.all(np.isfinite(grad)):
@@ -205,6 +195,11 @@ def _mstep_on_batch(batch, clamped: np.ndarray, params0: np.ndarray, config: Tra
             raise NumericalError(f"non-finite M-step objective or gradient at {where}")
         return -q, -grad
 
+    return _ascend(neg_q, params0, config)
+
+
+def _ascend(neg_q, params0: np.ndarray, config: TrainConfig) -> np.ndarray:
+    """L-BFGS on -Q from params0; returns params0 when Q would fall."""
     q0 = -neg_q(params0)[0]
     result = minimize(
         neg_q,
@@ -254,25 +249,32 @@ def em_train(model: FsmModel, corpus, config: TrainConfig, inference: str = "fb"
             sorted(labels_present),
         )
     params = init_params(model, config.init)
-    if inference == "viterbi":
-        return _em_train_hard(model, corpus, config, params)
     batch, labels = _corpus_batch(model, corpus)
+    if inference == "viterbi":
+        e_terms, ascend = _hard_em(batch, labels, config)
+    else:
+        def e_terms(p):
+            loglik, grad, exp = _full_gradient(batch, labels, p, config.sigma2, config.beam)
+            return loglik, grad, exp.counts_clamped
+
+        def ascend(clamped, p):
+            return _mstep_on_batch(batch, clamped, p, config)
+
     history: List[Tuple[int, float]] = []
     lines: List[str] = []
     t0 = time.perf_counter()
-    loglik, grad, exp = _full_gradient(batch, labels, params, config.sigma2, config.beam)
+    loglik, grad, clamped = e_terms(params)
     history.append((0, loglik))
     lines.append(_log_line(0, loglik, grad, t0))
     for it in range(1, config.em_max_iters + 1):
-        clamped = exp.counts_clamped
         try:
-            new_params = _mstep_on_batch(batch, clamped, params, config)
+            new_params = ascend(clamped, params)
         except NumericalError as exc:
             logger.warning("M-step failed at iteration %d: %s; keeping last state", it, exc)
             break
         params = new_params
         prev = loglik
-        loglik, grad, exp = _full_gradient(batch, labels, params, config.sigma2, config.beam)
+        loglik, grad, clamped = e_terms(params)
         history.append((it, loglik))
         lines.append(_log_line(it, loglik, grad, t0))
         if loglik - prev < config.em_tol * abs(prev) and loglik >= prev - 1e-9:
@@ -298,20 +300,30 @@ def direct_train(model: FsmModel, corpus, config: TrainConfig) -> TrainState:
     lines: List[str] = []
     t0 = time.perf_counter()
 
+    last = {}
+
+    def evaluate(p):
+        # L-BFGS reports each iterate to the callback right after it was
+        # evaluated there, so the callback reuses that evaluation.
+        if "x" not in last or not np.array_equal(p, last["x"]):
+            loglik, grad, _ = _full_gradient(batch, labels, p, sigma2, config.beam)
+            last.update(x=np.array(p), loglik=loglik, grad=grad)
+        return last["loglik"], last["grad"]
+
     def neg_l(p):
-        loglik, grad, _ = _full_gradient(batch, labels, p, sigma2, config.beam)
+        loglik, grad = evaluate(p)
         if not np.isfinite(loglik) or not np.all(np.isfinite(grad)):
             raise NumericalError("non-finite objective or gradient in direct training")
         return -loglik, -grad
 
-    loglik0, grad0, _ = _full_gradient(batch, labels, params, sigma2, config.beam)
+    loglik0, grad0 = evaluate(params)
     history.append((0, loglik0))
     lines.append(_log_line(0, loglik0, grad0, t0))
     iteration = [0]
 
     def track(xk):
         iteration[0] += 1
-        loglik, grad, _ = _full_gradient(batch, labels, xk, sigma2, config.beam)
+        loglik, grad = evaluate(xk)
         history.append((iteration[0], loglik))
         lines.append(_log_line(iteration[0], loglik, grad, t0))
 
@@ -334,82 +346,41 @@ def direct_train(model: FsmModel, corpus, config: TrainConfig) -> TrainState:
 # -- hard (best-alignment) variant ------------------------------------
 
 
-def _hard_terms(batches, labels, params, sig_masses=True):
-    """Best-path scores per subset and, optionally, per-pair best-path
-    counts for both subsets, signature-aggregated."""
-    v = np.zeros((len(batches), 2))
-    counts = []
-    for k, batch in enumerate(batches):
-        w = batch.edge_weights(params)
-        row = []
-        for z in (0, 1):
-            alignment, ks = viterbi_on_batch(batch, w, z)
-            v[k, z] = alignment.score
-            if sig_masses:
-                vec = np.zeros(batch.model.n_features)
-                table = batch.runtime.sig_table
-                for edge in ks:
-                    vec[table.feature_ids(int(batch.sig[edge]))] += 1.0
-                row.append(vec)
-        counts.append(row)
-    return v, counts
+def _hard_terms(batch, params):
+    """Best-path scores (n_pairs, 2) and best-path feature counts per pair in S0 and S1."""
+    paths = _BestPaths(batch, batch.edge_weights(params))
+    v = np.stack(paths.subset_scores(), axis=1)
+    batch.check_paths(v.min(axis=1), "S0 or S1")
+    on_path = (paths.path_edges(paths.best_nodes(z)) for z in (0, 1))
+    return v, [batch.counts_by_pair(np.bincount(k, minlength=batch.n_edges)) for k in on_path]
 
 
-def _em_train_hard(model: FsmModel, corpus, config: TrainConfig, params: np.ndarray) -> TrainState:
-    batches = [
-        Batch(model, [(p.x, p.y)], pair_ids=[p.pair_id]) for p in corpus
-    ]
-    labels = np.array([p.z for p in corpus], dtype=np.int8)
+def _hard_em(batch, labels, config: TrainConfig):
+    """E-step terms and M-step of hard EM, where each subset's best path
+    stands in for its expected counts and log-partition."""
     sigma2 = config.sigma2
 
-    def hard_loglik(p, v):
+    def e_terms(p):
+        v, (c0, c1) = _hard_terms(batch, p)
         lse = np.logaddexp(v[:, 0], v[:, 1])
         vz = v[np.arange(len(labels)), labels]
-        return float(np.sum(vz - lse)) - float(np.sum(np.square(p)) / sigma2)
+        loglik = float(np.sum(vz - lse)) - float(np.sum(np.square(p)) / sigma2)
+        return loglik, np.zeros(1), np.sum(np.where(labels[:, None] == 1, c1, c0), axis=0)
 
-    history: List[Tuple[int, float]] = []
-    lines: List[str] = []
-    t0 = time.perf_counter()
-    v, counts = _hard_terms(batches, labels, params)
-    loglik = hard_loglik(params, v)
-    history.append((0, loglik))
-    lines.append(_log_line(0, loglik, np.zeros(1), t0))
-    for it in range(1, config.em_max_iters + 1):
-        clamped = np.sum([counts[k][int(labels[k])] for k in range(len(labels))], axis=0)
-
+    def ascend(clamped, params):
         def neg_q(p):
-            vv, cc = _hard_terms(batches, labels, p)
+            vv, (c0, c1) = _hard_terms(batch, p)
             lse = np.logaddexp(vv[:, 0], vv[:, 1])
             q = float(clamped @ p - np.sum(lse) - np.sum(np.square(p)) / sigma2)
             post = np.exp(vv - lse[:, None])
-            mean = np.zeros_like(p)
-            for k in range(len(labels)):
-                mean += post[k, 0] * cc[k][0] + post[k, 1] * cc[k][1]
+            # Rows are C-ordered, so np.sum adds the pairs one after another.
+            mean = np.sum(post[:, :1] * c0 + post[:, 1:] * c1, axis=0)
             grad = clamped - mean - 2.0 * p / sigma2
             return -q, -grad
 
-        q0 = -neg_q(params)[0]
-        result = minimize(
-            neg_q,
-            params,
-            jac=True,
-            method="L-BFGS-B",
-            options={
-                "maxiter": config.mstep_max_iters,
-                "gtol": config.mstep_grad_tol,
-                "ftol": 1e-14,
-            },
-        )
-        if np.isfinite(result.fun) and -result.fun >= q0 - 1e-9:
-            params = np.asarray(result.x, dtype=np.float64)
-        prev = loglik
-        v, counts = _hard_terms(batches, labels, params)
-        loglik = hard_loglik(params, v)
-        history.append((it, loglik))
-        lines.append(_log_line(it, loglik, np.zeros(1), t0))
-        if loglik - prev < config.em_tol * abs(prev) and loglik >= prev - 1e-9:
-            break
-    return TrainState(params=params, history=tuple(history), log_lines=tuple(lines))
+        return _ascend(neg_q, params, config)
+
+    return e_terms, ascend
 
 
 def grad_check(

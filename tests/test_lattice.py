@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from scipy.special import logsumexp
 
 from editcrf import (
+    Alignment,
     BeamConfig,
     backward,
     build_model,
@@ -20,6 +22,7 @@ from editcrf import (
 from editcrf.engine import Batch, _predicate_mask_grid
 from editcrf.errors import DegenerateInputError, NoPathError
 from editcrf.features import eval_predicate
+from editcrf.lattice import _BestPaths, alignment_feature_counts
 from conftest import oracle_terms
 
 
@@ -181,6 +184,42 @@ def test_viterbi_zero_weight_tie_break(ids_model):
     assert best.edits == ("substitute",)
     assert best.states == (1,)
     assert best.ix == (1,) and best.iy == (1,)
+
+
+def test_viterbi_tie_break_matches_oracle():
+    """Weights in {-1, 0, 1} make exact score ties common; the chosen path
+    is the oracle's maximum-score path that is shortest, then smallest by
+    operation names, then by state ids, in one-pair and multi-pair batches."""
+    rng = np.random.default_rng(71)
+    strings = [""] + ["".join(s) for n in (1, 2, 3) for s in itertools.product("ab", repeat=n)]
+    pairs = [(x, y) for x in strings for y in strings if x or y]
+    for ops in (["insert", "delete", "substitute"], ["insert", "delete", "substitute", "swap-two-characters"]):
+        model0 = build_model(ops, "first-order")
+        params_list = [np.zeros(model0.n_features)] + [
+            rng.integers(-1, 2, model0.n_features).astype(float) for _ in range(2)
+        ]
+        listed = {
+            (x, y): [
+                (a, alignment_feature_counts(model0, x, y, a), int(a.states[0] in model0.topology.s1))
+                for a, _ in enumerate_alignments(model0, x, y)
+            ]
+            for x, y in pairs
+        }
+        for params in params_list:
+            model = model0.with_params(params)
+            batch = Batch(model, pairs)
+            paths = _BestPaths(batch, batch.edge_weights(params))
+            for k, (x, y) in enumerate(pairs):
+                for constraint in ("all", 0, 1):
+                    best = min(
+                        (-float(counts @ params), len(a.edits), a.edits, a.states, a)
+                        for a, counts, subset in listed[(x, y)]
+                        if constraint in ("all", subset)
+                    )
+                    want = Alignment(best[4].edits, best[4].ix, best[4].iy, best[4].states, -best[0])
+                    got = viterbi(model, x, y, constraint)
+                    assert got == want, (ops, params, x, y, constraint)
+                    assert paths.alignment(k, constraint)[0] == got
 
 
 def test_viterbi_score_bounded_by_log_partition(ids_model):

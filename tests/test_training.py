@@ -20,6 +20,7 @@ from editcrf import (
     score_pairs,
     classify,
 )
+from editcrf import training
 from conftest import oracle_terms
 
 OPS3 = ["insert", "delete", "substitute"]
@@ -108,6 +109,21 @@ def test_e_step_matches_constrained_oracle():
         result.clamped_total, terms.expected_counts(model.params, 1), atol=1e-9
     )
     np.testing.assert_allclose(result.per_pair_counts[0], result.clamped_total, atol=1e-9)
+
+
+def test_e_step_per_pair_counts_match_oracle_on_mixed_corpus():
+    model0 = build_model(OPS3)
+    rng = np.random.default_rng(19)
+    model = model0.with_params(rng.uniform(-1, 1, model0.n_features))
+    corpus = small_mixed()
+    result = e_step(model, corpus)
+    assert len(result.per_pair_counts) == len(corpus)
+    for row, p in zip(result.per_pair_counts, corpus):
+        want = oracle_terms(model, p.x, p.y).expected_counts(model.params, p.z)
+        np.testing.assert_allclose(row, want, atol=1e-9)
+    np.testing.assert_allclose(
+        np.sum(result.per_pair_counts, axis=0), result.clamped_total, atol=1e-12
+    )
 
 
 def test_e_step_single_pair_aggregate():
@@ -235,6 +251,27 @@ def test_direct_train_improves_likelihood():
     first = state.history[0][1]
     last = state.history[-1][1]
     assert last >= first
+
+
+def test_direct_train_evaluates_each_point_once(monkeypatch):
+    """The iteration log reuses the objective evaluation L-BFGS just made."""
+    calls, evals = [0], []
+    full_gradient, lbfgs = training._full_gradient, training.minimize
+
+    def counting_gradient(*args, **kwargs):
+        calls[0] += 1
+        return full_gradient(*args, **kwargs)
+
+    def recording_minimize(*args, **kwargs):
+        result = lbfgs(*args, **kwargs)
+        evals.append(result.nfev)
+        return result
+
+    monkeypatch.setattr(training, "_full_gradient", counting_gradient)
+    monkeypatch.setattr(training, "minimize", recording_minimize)
+    state = direct_train(build_model(OPS3), small_mixed(), TrainConfig(em_max_iters=3, mstep_max_iters=30))
+    assert len(state.history) > 2
+    assert calls[0] <= evals[0]
 
 
 def test_viterbi_mode_trains_and_improves():
