@@ -28,13 +28,13 @@ from .data import (
 from .errors import (
     DataFormatError,
     DegenerateInputError,
-    EditCrfError,
     ModelFormatError,
     NoPathError,
     NumericalError,
 )
 from .evaluation import (
     Variant,
+    _match_posteriors,
     ablation_table_text,
     ablation_table_tsv,
     accuracy_coverage,
@@ -44,7 +44,6 @@ from .evaluation import (
     precision,
     recall,
     run_ablation,
-    score_pairs,
 )
 from .features import build_lexicon, normalize_predicates, LexiconSet
 from .engine import Batch
@@ -341,28 +340,25 @@ def cmd_score(args) -> int:
     lines = ["pair_id\tp_match\tprediction"]
     if args.beam is not None:
         lines.append(f"# beam_width={args.beam} approximate=true")
-    failed = 0
-    try:
-        scored = score_pairs(model, pairs, inference=args.inference, beam=args.beam)
-    except EditCrfError:
-        scored = []
-        for p in pairs:
-            try:
-                scored.extend(score_pairs(model, [p], inference=args.inference, beam=args.beam))
-            except EditCrfError:
-                scored.append((p.pair_id, None, p.z))
-                failed += 1
-    for pair_id, prob, _ in scored:
-        if prob is None:
-            lines.append(f"{pair_id}\tNA\tNA")
+    # One batched pass scores every pair that has a lattice; pairs with both
+    # strings empty or with no complete alignment are written as NA.
+    probs = np.full(len(pairs), np.nan)
+    live = [k for k, p in enumerate(pairs) if p.x or p.y]
+    if live:
+        _, total, p_match = _match_posteriors(model, [pairs[k] for k in live], args.inference, args.beam)
+        probs[live] = np.where(np.isfinite(total), p_match, np.nan)
+    for p, prob in zip(pairs, probs):
+        if np.isnan(prob):
+            lines.append(f"{p.pair_id}\tNA\tNA")
         else:
-            lines.append(f"{pair_id}\t{prob:.6f}\t{int(prob > args.threshold)}")
+            lines.append(f"{p.pair_id}\t{prob:.6f}\t{int(prob > args.threshold)}")
     payload = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
+    failed = int(np.count_nonzero(np.isnan(probs)))
     if failed:
         print(f"{failed} pair(s) failed inference", file=sys.stderr)
         return EXIT_NUMERICAL

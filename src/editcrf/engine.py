@@ -6,71 +6,28 @@ nodes can be processed one anti-diagonal at a time, and a whole corpus of
 pairs can share a single sweep: edges of all pairs are merged, sorted by
 source anti-diagonal, and reduced with segmented log-sum-exp.
 
-Edges carry a signature id interning their active feature-id set, so edge
-potentials for new parameter vectors are a sparse matrix-vector product
-followed by a gather, and expected feature counts are a weighted bincount
-over signatures.  All reductions run in a fixed order, which makes every
-quantity deterministic for a given model and corpus.
+Edges carry a signature id standing for their active feature-id set, a
+(parameter group, predicate mask) pair.  Signature ids belong to the batch:
+they number the distinct pairs among its own edges in sorted (group, mask)
+order.  Edge potentials for new parameter vectors are then a sparse
+matrix-vector product followed by a gather, and expected feature counts are
+a weighted bincount over signatures.  All reductions run in a fixed order
+and a batch shares no state with other batches, so every quantity is
+deterministic for a given model and corpus, and one model may be used from
+several threads at once.
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-import weakref
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
 
 from . import edits
 from .errors import DegenerateInputError, NoPathError
-from .model import Q0, FsmModel, Transition
+from .model import Q0, FsmModel
 
 NEG_INF = -np.inf
-
-
-class SigTable:
-    """Interns (parameter group, predicate mask) pairs as signature ids."""
-
-    def __init__(self, n_features: int, n_predicates: int):
-        self.n_features = n_features
-        self.n_predicates = n_predicates
-        self._index: Dict[Tuple[int, int], int] = {}
-        self._fids: List[np.ndarray] = []
-        self._matrix: Optional[sparse.csr_matrix] = None
-        self._matrix_rows = -1
-
-    def __len__(self) -> int:
-        return len(self._fids)
-
-    def sig_id(self, group: int, mask: int) -> int:
-        key = (group, mask)
-        sid = self._index.get(key)
-        if sid is None:
-            base = group * self.n_predicates
-            fids = np.array(
-                [base + p for p in range(self.n_predicates) if mask >> p & 1],
-                dtype=np.int64,
-            )
-            sid = len(self._fids)
-            self._index[key] = sid
-            self._fids.append(fids)
-            self._matrix = None
-        return sid
-
-    def matrix(self) -> sparse.csr_matrix:
-        """Sparse (n_sigs, n_features) indicator matrix."""
-        if self._matrix is None or self._matrix_rows != len(self._fids):
-            indptr = np.zeros(len(self._fids) + 1, dtype=np.int64)
-            for k, fids in enumerate(self._fids):
-                indptr[k + 1] = indptr[k] + len(fids)
-            indices = (
-                np.concatenate(self._fids) if self._fids else np.zeros(0, dtype=np.int64)
-            )
-            data = np.ones(len(indices), dtype=np.float64)
-            self._matrix = sparse.csr_matrix(
-                (data, indices, indptr), shape=(len(self._fids), self.n_features)
-            )
-            self._matrix_rows = len(self._fids)
-        return self._matrix
 
 
 def _char_profile(s: str):
@@ -216,7 +173,11 @@ def _op_landing_grids(op: str, x: str, y: str, lexicon) -> Tuple[np.ndarray, np.
 
 @dataclass
 class PairGraph:
-    """Static lattice structure for one string pair under one model."""
+    """Static lattice structure for one string pair under one model.
+
+    Edge k's active features are given by codes[sig[k]], a signature code
+    group << n_predicates | predicate mask; codes may repeat.
+    """
 
     x: str
     y: str
@@ -226,6 +187,7 @@ class PairGraph:
     n_nodes: int
     src: np.ndarray
     dst: np.ndarray
+    codes: np.ndarray
     sig: np.ndarray
     op_idx: np.ndarray
     subset: np.ndarray
@@ -241,19 +203,15 @@ class PairGraph:
 
 
 class Runtime:
-    """Per-model compilation cache: signatures, transitions, lexicon."""
+    """Read-only model tables for lattice compilation: transitions, states, lexicon."""
 
     def __init__(self, model: FsmModel):
         self.model = model
-        self.sig_table = SigTable(model.n_features, len(model.predicates))
         self.lexicon = model.lexicon_union
         self.op_index = {op: k for k, op in enumerate(model.ops)}
         states = list(model.topology.s0) + list(model.topology.s1)
         self.states = states
         self.state_index = {s: k for k, s in enumerate(states)}
-        self.state_subset = np.array(
-            [model.topology.subset_of(s) for s in states], dtype=np.int8
-        )
         self.transitions = []
         for t in model.topology.transitions:
             group = model.group_of_transition(*t)
@@ -281,11 +239,13 @@ class Runtime:
                 jj.astype(np.int64),
                 li[ii, jj].astype(np.int64),
                 lj[ii, jj].astype(np.int64),
-                uniq,
+                uniq.astype(np.int64),
                 inverse,
             )
-        srcs, dsts, sigs, opxs, subs = [], [], [], [], []
+        srcs, dsts, sig_codes, sigs, opxs, subs = [], [], [], [], [], []
+        n_codes = 0
         stride = ny + 1
+        n_predicates = len(model.predicates)
         for frm, op, to, group, subset in self.transitions:
             ii, jj, land_i, land_j, uniq, inverse = per_op[op]
             if frm == Q0:
@@ -302,23 +262,22 @@ class Runtime:
                 e_ii, e_jj, e_li, e_lj, e_inv = ii, jj, land_i, land_j, inverse
                 src = 1 + (e_ii * stride + e_jj) * n_states + self.state_index[frm]
             dst = 1 + (e_li * stride + e_lj) * n_states + self.state_index[to]
-            sig_for_mask = np.array(
-                [self.sig_table.sig_id(group, int(m)) for m in uniq], dtype=np.int32
-            )
             srcs.append(src)
             dsts.append(dst)
-            sigs.append(sig_for_mask[e_inv])
+            sig_codes.append(group << n_predicates | uniq)
+            sigs.append(e_inv + n_codes)
+            n_codes += len(uniq)
             opxs.append(np.full(len(e_ii), self.op_index[op], dtype=np.int8))
             subs.append(np.full(len(e_ii), subset, dtype=np.int8))
         if srcs:
             src = np.concatenate(srcs)
             dst = np.concatenate(dsts)
+            codes = np.concatenate(sig_codes)
             sig = np.concatenate(sigs)
             op_idx = np.concatenate(opxs)
             subset = np.concatenate(subs)
         else:
-            src = dst = np.zeros(0, dtype=np.int64)
-            sig = np.zeros(0, dtype=np.int32)
+            src = dst = codes = sig = np.zeros(0, dtype=np.int64)
             op_idx = subset = np.zeros(0, dtype=np.int8)
         cell = (src - 1) // n_states
         i_of = cell // stride
@@ -336,6 +295,7 @@ class Runtime:
             n_nodes=1 + (nx + 1) * (ny + 1) * n_states,
             src=src,
             dst=dst,
+            codes=codes,
             sig=sig,
             op_idx=op_idx,
             subset=subset,
@@ -343,17 +303,6 @@ class Runtime:
             acc0=acc0,
             acc1=acc1,
         )
-
-
-_RUNTIMES: "weakref.WeakKeyDictionary[FsmModel, Runtime]" = weakref.WeakKeyDictionary()
-
-
-def runtime_for(model: FsmModel) -> Runtime:
-    rt = _RUNTIMES.get(model)
-    if rt is None:
-        rt = Runtime(model)
-        _RUNTIMES[model] = rt
-    return rt
 
 
 def _segment_logsumexp(vals: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -369,6 +318,17 @@ def _segment_logsumexp(vals: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return np.where(finite, out, NEG_INF)
 
 
+def _signature_matrix(codes: np.ndarray, n_predicates: int, n_features: int) -> sparse.csr_array:
+    """(n_sigs, n_features) indicator of sorted signature codes: code
+    group << n_predicates | mask has features group * n_predicates + p for
+    the set bits p of mask, in ascending order within each row."""
+    bits = codes[:, None] >> np.arange(n_predicates) & 1
+    rows, preds = np.nonzero(bits)
+    fids = (codes[rows] >> n_predicates) * n_predicates + preds
+    indptr = np.searchsorted(rows, np.arange(len(codes) + 1))
+    return sparse.csr_array((np.ones(len(fids)), fids, indptr), shape=(len(codes), n_features))
+
+
 # Semirings of the forward sweep as (segmented reduce, elementwise combine):
 # log-sum for alignment mass, max for best-path scores, which max leaves
 # exactly equal to the best alpha[src] + w.
@@ -381,7 +341,7 @@ class Batch:
 
     def __init__(self, model: FsmModel, xy_pairs: Sequence[Tuple[str, str]], pair_ids=None):
         self.model = model
-        self.runtime = runtime_for(model)
+        self.runtime = Runtime(model)
         self.pair_ids = list(pair_ids) if pair_ids is not None else [str(k) for k in range(len(xy_pairs))]
         graphs = []
         for k, (x, y) in enumerate(xy_pairs):
@@ -399,7 +359,14 @@ class Batch:
         self.start_ids = self.node_offset[:-1]
         src = np.concatenate([g.src + off for g, off in zip(graphs, self.node_offset)])
         dst = np.concatenate([g.dst + off for g, off in zip(graphs, self.node_offset)])
-        self.sig = np.concatenate([g.sig for g in graphs])
+        # Signature ids are ranks of the batch's own codes, so they do not
+        # depend on what else was compiled for the model.
+        codes, code_sig = np.unique(np.concatenate([g.codes for g in graphs]), return_inverse=True)
+        code_offset = np.cumsum([0] + [len(g.codes) for g in graphs])
+        local_sig = np.concatenate([g.sig + off for g, off in zip(graphs, code_offset)])
+        self.sig = code_sig.astype(np.int32)[local_sig]
+        self.n_sigs = len(codes)
+        self.sig_matrix = _signature_matrix(codes, len(model.predicates), model.n_features)
         self.op_idx = np.concatenate([g.op_idx for g in graphs])
         self.subset = np.concatenate([g.subset for g in graphs])
         src_diag = np.concatenate([g.src_diag for g in graphs])
@@ -448,7 +415,7 @@ class Batch:
     # -- potentials ---------------------------------------------------
 
     def edge_weights(self, params: np.ndarray) -> np.ndarray:
-        sig_w = self.runtime.sig_table.matrix() @ np.asarray(params, dtype=np.float64)
+        sig_w = self.sig_matrix @ np.asarray(params, dtype=np.float64)
         return sig_w[self.sig]
 
     # -- sweeps -------------------------------------------------------
@@ -580,16 +547,14 @@ class Batch:
         p = np.exp(logp)
         if by_pair:
             return self.counts_by_pair(p)
-        n_sigs = len(self.runtime.sig_table)
-        mass = np.bincount(self.sig, weights=p, minlength=n_sigs)
-        return self.runtime.sig_table.matrix().T @ mass
+        mass = np.bincount(self.sig, weights=p, minlength=self.n_sigs)
+        return self.sig_matrix.T @ mass
 
     def counts_by_pair(self, edge_mass: np.ndarray) -> np.ndarray:
         """Feature counts per pair of a per-edge mass: one bincount over (pair, signature)."""
-        n_sigs = len(self.runtime.sig_table)
-        key = self.pair_of_edge.astype(np.int64) * n_sigs + self.sig
-        mass = np.bincount(key, weights=edge_mass, minlength=self.n_pairs * n_sigs)
-        return np.ascontiguousarray(mass.reshape(self.n_pairs, -1) @ self.runtime.sig_table.matrix())
+        key = self.pair_of_edge.astype(np.int64) * self.n_sigs + self.sig
+        mass = np.bincount(key, weights=edge_mass, minlength=self.n_pairs * self.n_sigs)
+        return np.ascontiguousarray(mass.reshape(self.n_pairs, self.n_sigs) @ self.sig_matrix)
 
     def check_paths(self, lz: np.ndarray, what: str) -> None:
         bad = np.flatnonzero(~np.isfinite(lz))

@@ -142,6 +142,14 @@ def score_pairs(
     """Match posteriors for a pair list, in input order."""
     if not pairs:
         return []
+    batch, total, probs = _match_posteriors(model, pairs, inference, beam)
+    batch.check_paths(total, "either subset")
+    return [(p.pair_id, float(pr), p.z) for p, pr in zip(pairs, probs)]
+
+
+def _match_posteriors(model: FsmModel, pairs: Sequence[LabeledPair], inference: str, beam):
+    """One batched pass: the batch, each pair's total log mass (not finite
+    when the pair has no complete alignment) and its p_match."""
     if inference not in ("fb", "viterbi"):
         raise ValueError("inference must be 'fb' or 'viterbi'")
     batch = Batch(model, [(p.x, p.y) for p in pairs], pair_ids=[p.pair_id for p in pairs])
@@ -151,9 +159,8 @@ def score_pairs(
     else:
         lz0, lz1 = _BestPaths(batch, w).subset_scores()
     total = np.logaddexp(lz0, lz1)
-    batch.check_paths(total, "either subset")
-    probs = np.exp(lz1 - total)
-    return [(p.pair_id, float(pr), p.z) for p, pr in zip(pairs, probs)]
+    with np.errstate(invalid="ignore"):
+        return batch, total, np.exp(lz1 - total)
 
 
 def apply_transitive_closure(

@@ -1,8 +1,9 @@
 import numpy as np
 
-from editcrf import build_model, load_model, load_pairs, save_model, save_pairs, viterbi
+from editcrf import build_model, load_model, load_pairs, save_model, save_pairs, score_pairs, viterbi
 from editcrf.cli import main, render_alignment_grid
 from editcrf.data import LabeledPair
+from editcrf.engine import Batch
 
 
 def run(argv):
@@ -229,3 +230,39 @@ def test_score_narrow_beam_flags_failed_pairs(tmp_path):
         assert "\tNA\tNA" in text
     else:
         assert code == 0
+
+
+def test_score_marks_failed_pairs_na_in_one_batch(tmp_path, monkeypatch, capsys):
+    base = build_model(["substitute"])
+    model = base.with_params(np.random.default_rng(4).uniform(-1, 1, base.n_features))
+    model_path = tmp_path / "sub.json"
+    save_model(model, model_path)
+    pairs = [
+        LabeledPair("g1", "ab", "cd", 1),
+        LabeledPair("nopath", "ab", "b", 0),
+        LabeledPair("g2", "abc", "abd", 0),
+        LabeledPair("empty", "", "", 1),
+        LabeledPair("g3", "x", "x", 1),
+    ]
+    pairs_path = tmp_path / "mixed.tsv"
+    save_pairs(pairs, pairs_path)
+    want = ["pair_id\tp_match\tprediction"]
+    for p in pairs:
+        if p.pair_id in ("nopath", "empty"):
+            want.append(f"{p.pair_id}\tNA\tNA")
+        else:
+            prob = score_pairs(model, [p])[0][1]
+            want.append(f"{p.pair_id}\t{prob:.6f}\t{int(prob > 0.5)}")
+    builds = []
+    build = Batch.__init__
+
+    def counting_build(self, *args, **kwargs):
+        builds.append(len(args[1]))
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(Batch, "__init__", counting_build)
+    out = tmp_path / "s.tsv"
+    assert run(["score", "--model", model_path, "--pairs", pairs_path, "--out", out]) == 3
+    assert out.read_text() == "\n".join(want) + "\n"
+    assert builds == [4]
+    assert "2 pair(s) failed inference" in capsys.readouterr().err

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -6,9 +9,11 @@ from editcrf import (
     TrainConfig,
     Variant,
     accuracy_coverage,
+    build_model,
     classify,
     f1,
     run_ablation,
+    score_pairs,
 )
 from editcrf.evaluation import (
     Counts,
@@ -158,3 +163,42 @@ def test_ablation_viterbi_inference_mode():
     rows = run_ablation(separable_pairs(4), variants, config=fast_config(), fold_swap=False)
     assert rows[0].error is None
     assert 0.0 <= rows[0].f1_mean <= 1.0
+
+
+def test_concurrent_scoring_on_shared_model_matches_serial():
+    rng = np.random.default_rng(11)
+    alphabet = list("abcdefghij0123456789.-() ")
+
+    def text():
+        return "".join(rng.choice(alphabet, rng.integers(1, 7)))
+
+    pairs = [LabeledPair(str(k), text(), text(), k % 2) for k in range(200)]
+    base = build_model(["insert", "delete", "substitute", "swap-two-characters"])
+    params = rng.uniform(-1, 1, base.n_features)
+    want = [score_pairs(base.with_params(params), [p])[0][1] for p in pairs]
+    # A model object nothing has been compiled for: every pair the threads
+    # score is new to it.
+    shared = base.with_params(params)
+    orders = [rng.permutation(len(pairs)) for _ in range(4)]
+    results, errors = [None] * len(orders), []
+
+    def work(t):
+        try:
+            got = {k: score_pairs(shared, [pairs[k]])[0][1] for k in orders[t]}
+            results[t] = [got[k] for k in range(len(pairs))]
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(len(orders))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    assert results == [want] * len(orders)

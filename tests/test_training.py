@@ -21,6 +21,7 @@ from editcrf import (
     classify,
 )
 from editcrf import training
+from editcrf.engine import Batch, expectations
 from conftest import oracle_terms
 
 OPS3 = ["insert", "delete", "substitute"]
@@ -124,6 +125,25 @@ def test_e_step_per_pair_counts_match_oracle_on_mixed_corpus():
     np.testing.assert_allclose(
         np.sum(result.per_pair_counts, axis=0), result.clamped_total, atol=1e-12
     )
+
+
+def test_counts_do_not_depend_on_batches_built_before():
+    rng = np.random.default_rng(23)
+    base = build_model(OPS3 + ["swap-two-characters"])
+    params = rng.uniform(-1, 1, base.n_features)
+    corpus = [
+        LabeledPair(str(k), x, y, k % 2)
+        for k, (x, y) in enumerate([("jon smith", "john smyth"), ("a.b-c", "abc"), ("12 (x)", "21 x"),
+                                    ("acme", "acne"), ("q", "q9.")])
+    ]
+    fresh, used = base.with_params(params), base.with_params(params)
+    Batch(used, [(p.y[::-1], p.x[::-1]) for p in corpus])
+    results = []
+    for model in (fresh, used):
+        batch = Batch(model, [(p.x, p.y) for p in corpus])
+        results.append((e_step(model, corpus).clamped_total, expectations(batch, params).counts_all))
+    for a, b in zip(*results):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_e_step_single_pair_aggregate():
