@@ -6,18 +6,28 @@ nodes can be processed one anti-diagonal at a time, and a whole corpus of
 pairs can share a single sweep: edges of all pairs are merged, sorted by
 source anti-diagonal, and reduced with segmented log-sum-exp.
 
+A batch is compiled in one pass over all of its pairs.  Their strings are
+concatenated once, every (i, j) cell of every pair is one row of a flat
+cell table whose predicate bits are computed together, and each
+operation's edges are emitted for all pairs at once.  A batch therefore
+costs a fixed number of NumPy calls, a few hundred microseconds, plus time
+that grows with its edges, whether it holds one pair or thousands;
+single-pair queries pay the fixed part each time.
+
 Edges carry a signature id standing for their active feature-id set, a
 (parameter group, predicate mask) pair.  Signature ids belong to the batch:
 they number the distinct pairs among its own edges in sorted (group, mask)
-order.  Edge potentials for new parameter vectors are then a sparse
-matrix-vector product followed by a gather, and expected feature counts are
-a weighted bincount over signatures.  All reductions run in a fixed order
-and a batch shares no state with other batches, so every quantity is
-deterministic for a given model and corpus, and one model may be used from
-several threads at once.
+order.  Each signature's features are kept once per batch as (signature,
+feature) entries, so edge potentials for new parameter vectors are a
+bincount over the entries followed by a gather, and expected feature counts
+are a bincount over signatures, then over the entries.  All reductions run
+in a fixed order and a batch shares no state with other batches, so every
+quantity is deterministic for a given model and corpus, and one model may
+be used from several threads at once.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,180 +40,224 @@ from .model import Q0, FsmModel
 NEG_INF = -np.inf
 
 
-def _char_profile(s: str):
-    ford = np.array([ord(edits.fold(c)) for c in s], dtype=np.int64)
-    alpha = np.array([c.isalpha() for c in s], dtype=bool)
-    digit = np.array([c.isdigit() for c in s], dtype=bool)
-    punct = np.array([not c.isalnum() and not c.isspace() for c in s], dtype=bool)
-    return ford, alpha, digit, punct
+def _ragged(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Row and rank within the row of every element of rows of the given lengths."""
+    row = np.repeat(np.arange(len(counts)), counts)
+    return row, np.arange(len(row)) - (np.cumsum(counts) - counts)[row]
 
 
-def _predicate_mask_grid(predicates: Sequence[str], x: str, y: str) -> np.ndarray:
-    """Bitmask grid of active predicates per cell, bit k = predicates[k]."""
-    nx, ny = len(x), len(y)
-    fx, ax, dx, px = _char_profile(x)
-    fy, ay, dy, py = _char_profile(y)
-    same = fx[:, None] == fy[None, :]
-    grids = {}
-    shape = (nx + 1, ny + 1)
-
-    def core(values) -> np.ndarray:
-        g = np.zeros(shape, dtype=bool)
-        g[:nx, :ny] = values
-        return g
-
-    for name in predicates:
-        if name == "bias":
-            g = np.ones(shape, dtype=bool)
-        elif name == "same":
-            g = core(same)
-        elif name == "different":
-            g = core(~same)
-        elif name == "same-alphabetic":
-            g = core(same & ax[:, None] & ay[None, :])
-        elif name == "different-alphabetic":
-            g = core(~same & ax[:, None] & ay[None, :])
-        elif name == "same-numeric":
-            g = core(same & dx[:, None] & dy[None, :])
-        elif name == "different-numeric":
-            g = core(~same & dx[:, None] & dy[None, :])
-        elif name == "punctuation-x":
-            g = core(np.broadcast_to(px[:, None], (nx, ny)))
-        elif name == "punctuation-y":
-            g = core(np.broadcast_to(py[None, :], (nx, ny)))
-        elif name == "alphabet-mismatch":
-            g = core(ax[:, None] != ay[None, :])
-        elif name == "number-mismatch":
-            g = core(dx[:, None] != dy[None, :])
-        elif name == "end-of-x":
-            g = np.zeros(shape, dtype=bool)
-            g[nx, :] = True
-        elif name == "end-of-y":
-            g = np.zeros(shape, dtype=bool)
-            g[:, ny] = True
-        elif name == "same-next-character":
-            g = np.zeros(shape, dtype=bool)
-            if nx > 1 and ny > 1:
-                g[: nx - 1, : ny - 1] = same[1:, 1:]
-        elif name == "different-next-character":
-            g = np.zeros(shape, dtype=bool)
-            if nx > 1 and ny > 1:
-                g[: nx - 1, : ny - 1] = ~same[1:, 1:]
-        else:
-            raise ValueError(f"unknown predicate {name!r}")
-        grids[name] = g
-    mask = np.zeros(shape, dtype=np.int32)
-    for bit, name in enumerate(predicates):
-        mask |= grids[name].astype(np.int32) << bit
-    return mask
+def _cell_table(nx: np.ndarray, ny: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(offset, pair, i, j) of the flat cell table of a batch: the cells of
+    pair k are offset[k] + i * (ny[k] + 1) + j, pairs in order."""
+    stride = ny + 1
+    counts = (nx + 1) * stride
+    pair, local = _ragged(counts)
+    i = local // stride[pair]
+    return np.concatenate(([0], np.cumsum(counts))), pair, i, local - i * stride[pair]
 
 
-def _word_starts(s: str) -> List[int]:
-    return [p for p in range(len(s)) if edits.word_span(s, p) is not None]
+class _Cells:
+    """The flat cell table of a batch together with its strings.
 
-
-def _op_landing_grids(op: str, x: str, y: str, lexicon) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(cond, land_i, land_j) grids describing where op applies and lands."""
-    nx, ny = len(x), len(y)
-    shape = (nx + 1, ny + 1)
-    cond = np.zeros(shape, dtype=bool)
-    li = np.zeros(shape, dtype=np.int32)
-    lj = np.zeros(shape, dtype=np.int32)
-    ii = np.arange(nx + 1, dtype=np.int32)[:, None]
-    jj = np.arange(ny + 1, dtype=np.int32)[None, :]
-    if op == edits.INSERT:
-        cond[:, :ny] = True
-        li[:] = ii
-        lj[:] = jj + 1
-        return cond, li, lj
-    if op == edits.DELETE:
-        cond[:nx, :] = True
-        li[:] = ii + 1
-        lj[:] = jj
-        return cond, li, lj
-    if op == edits.SUBSTITUTE:
-        cond[:nx, :ny] = True
-        li[:] = ii + 1
-        lj[:] = jj + 1
-        return cond, li, lj
-    if op == edits.SWAP:
-        if nx >= 2 and ny >= 2:
-            fx = np.array([ord(edits.fold(c)) for c in x], dtype=np.int64)
-            fy = np.array([ord(edits.fold(c)) for c in y], dtype=np.int64)
-            ok = (
-                (fx[:-1, None] == fy[None, 1:])
-                & (fx[1:, None] == fy[None, :-1])
-                & (fx[:-1] != fx[1:])[:, None]
-            )
-            cond[: nx - 1, : ny - 1] = ok
-        li[:] = ii + 2
-        lj[:] = jj + 2
-        return cond, li, lj
-    # Word-level operations: applicability depends on one or both strings,
-    # so fill the few relevant rows or columns with explicit landings.
-    li[:] = ii
-    lj[:] = jj
-    if op in (edits.SKIP_ANY_X, edits.SKIP_LEX_X, edits.SKIP_PRES_X, edits.SKIP_PAREN_X, edits.DELETE_TO_WORD_END_X):
-        positions = range(nx) if op in (edits.SKIP_PAREN_X, edits.DELETE_TO_WORD_END_X) else _word_starts(x)
-        for i in positions:
-            landings = edits.apply_edit(op, x, y, i, 0, lexicon=lexicon)
-            if landings:
-                cond[i, :] = True
-                li[i, :] = landings[0].i_next
-        return cond, li, lj
-    if op in (edits.SKIP_ANY_Y, edits.SKIP_LEX_Y, edits.SKIP_PRES_Y, edits.SKIP_PAREN_Y):
-        positions = range(ny) if op == edits.SKIP_PAREN_Y else _word_starts(y)
-        for j in positions:
-            landings = edits.apply_edit(op, x, y, 0, j, lexicon=lexicon)
-            if landings:
-                cond[:, j] = True
-                lj[:, j] = landings[0].j_next
-        return cond, li, lj
-    if op == edits.ABBREV:
-        for i in _word_starts(x):
-            for j in _word_starts(y):
-                landings = edits.apply_edit(op, x, y, i, j, lexicon=lexicon)
-                if landings:
-                    cond[i, j] = True
-                    li[i, j] = landings[0].i_next
-                    lj[i, j] = landings[0].j_next
-        return cond, li, lj
-    raise ValueError(f"unknown edit operation {op!r}")
-
-
-@dataclass
-class PairGraph:
-    """Static lattice structure for one string pair under one model.
-
-    Edge k's active features are given by codes[sig[k]], a signature code
-    group << n_predicates | predicate mask; codes may repeat.
+    All x strings, then all y strings, are concatenated into one text; each
+    character gets its folded code and class flags once, and each string
+    its words once.  Predicate masks and operation landings are then
+    computed for every cell of every pair at once.
     """
 
-    x: str
-    y: str
-    nx: int
-    ny: int
-    n_states: int
-    n_nodes: int
-    src: np.ndarray
-    dst: np.ndarray
-    codes: np.ndarray
-    sig: np.ndarray
-    op_idx: np.ndarray
-    subset: np.ndarray
-    src_diag: np.ndarray
-    acc0: np.ndarray
-    acc1: np.ndarray
+    def __init__(self, xs: Sequence[str], ys: Sequence[str]):
+        self.xs, self.ys = xs, ys
+        self.nx = np.array([len(x) for x in xs], dtype=np.int64)
+        self.ny = np.array([len(y) for y in ys], dtype=np.int64)
+        self.offset, self.pair, self.i, self.j = _cell_table(self.nx, self.ny)
+        self.stride = self.ny + 1
+        self.cell_nx, self.cell_ny = self.nx[self.pair], self.ny[self.pair]
+        self.text = "".join(xs) + "".join(ys)
+        self.start = np.concatenate(([0], np.cumsum(np.concatenate((self.nx, self.ny)))))
+        self.code = np.frombuffer(self.text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+        chars = sorted(set(self.text))
+        # One row per distinct character plus a padding row, so that cells
+        # at the end of a string may look one and two characters on.
+        props = np.array(
+            [
+                (
+                    ord(edits.fold(c)),
+                    c.isalpha(),
+                    c.isdigit(),
+                    not c.isalnum() and not c.isspace(),
+                    edits.is_separator(c),
+                )
+                for c in chars
+            ]
+            + [(-1, False, False, False, False)],
+            dtype=np.int64,
+        )
+        at = np.searchsorted(np.array([ord(c) for c in chars], dtype=np.uint32), self.code)
+        props = props[np.concatenate((at, [len(chars)] * 2))].T
+        self.fold = props[0]
+        self.alpha, self.digit, self.punct, self.sep = props[1:].astype(bool)
+        self.gx = self.start[self.pair] + self.i
+        self.gy = self.start[len(xs) + self.pair] + self.j
 
-    def node_cell(self, node: int) -> Tuple[int, int, int]:
-        """(i, j, state_index) of a non-start node."""
-        cell, s_idx = divmod(node - 1, self.n_states)
-        i, j = divmod(cell, self.ny + 1)
-        return i, j, s_idx
+    def masks(self, predicates: Sequence[str]) -> np.ndarray:
+        """Bitmask of active predicates per cell, bit k = predicates[k]."""
+        i, j, gx, gy, nx, ny = self.i, self.j, self.gx, self.gy, self.cell_nx, self.cell_ny
+        inside = (i < nx) & (j < ny)
+        same = self.fold[gx] == self.fold[gy]
+        same_in, diff_in = inside & same, inside & ~same
+        ax, ay, dx, dy = self.alpha[gx], self.alpha[gy], self.digit[gx], self.digit[gy]
+        has_next = (i + 1 < nx) & (j + 1 < ny)
+        same_next = self.fold[gx + 1] == self.fold[gy + 1]
+        bits = []
+        for name in predicates:
+            if name == "bias":
+                bits.append(np.ones(len(i), dtype=bool))
+            elif name == "same":
+                bits.append(same_in)
+            elif name == "different":
+                bits.append(diff_in)
+            elif name == "same-alphabetic":
+                bits.append(same_in & ax & ay)
+            elif name == "different-alphabetic":
+                bits.append(diff_in & ax & ay)
+            elif name == "same-numeric":
+                bits.append(same_in & dx & dy)
+            elif name == "different-numeric":
+                bits.append(diff_in & dx & dy)
+            elif name == "punctuation-x":
+                bits.append(inside & self.punct[gx])
+            elif name == "punctuation-y":
+                bits.append(inside & self.punct[gy])
+            elif name == "alphabet-mismatch":
+                bits.append(inside & (ax != ay))
+            elif name == "number-mismatch":
+                bits.append(inside & (dx != dy))
+            elif name == "end-of-x":
+                bits.append(i == nx)
+            elif name == "end-of-y":
+                bits.append(j == ny)
+            elif name == "same-next-character":
+                bits.append(has_next & same_next)
+            elif name == "different-next-character":
+                bits.append(has_next & ~same_next)
+            else:
+                raise ValueError(f"unknown predicate {name!r}")
+        packed = np.packbits(np.array(bits), axis=0, bitorder="little")
+        return sum(row.astype(np.int64) << 8 * k for k, row in enumerate(packed))
+
+    @cached_property
+    def runs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """String index and end of the non-separator run of every text position."""
+        n = len(self.text)
+        owner = np.repeat(np.arange(len(self.start) - 1), np.diff(self.start))
+        next_sep = np.minimum.accumulate(np.where(self.sep[:n], np.arange(n), n)[::-1])[::-1]
+        return owner, np.minimum(next_sep, self.start[owner + 1])
+
+    @cached_property
+    def words(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, List[str]]:
+        """Pair, side (True for x), start, landing of a skip (the end plus at
+        most one separator) and token id of every word of every string,
+        positions within the string, and the distinct folded tokens."""
+        owner, run_end = self.runs
+        sep = self.sep[: len(self.text)]
+        first = np.arange(len(sep)) == self.start[owner]
+        starts = np.flatnonzero(~sep & (first | np.concatenate(([True], sep[:-1]))))
+        string, ends = owner[starts], run_end[starts]
+        base = self.start[string]
+        land = ends + (ends < self.start[string + 1])
+        folded = self.text.translate({ord(c): edits.fold(c) for c in set(self.text)})
+        ids = {}
+        tok = [ids.setdefault(folded[a:b], len(ids)) for a, b in zip(starts.tolist(), ends.tolist())]
+        n = len(self.xs)
+        return string % n, string < n, starts - base, land - base, np.array(tok, dtype=np.int64), list(ids)
+
+    def _x_rows(self, k, i, i_next) -> Tuple[np.ndarray, np.ndarray]:
+        """Cells (i, j) of pairs k and their landings (i_next, j), for every j."""
+        row, j = _ragged(self.stride[k])
+        src = (self.offset[k] + i * self.stride[k])[row] + j
+        return src, src + ((i_next - i) * self.stride[k])[row]
+
+    def _y_rows(self, k, j, j_next) -> Tuple[np.ndarray, np.ndarray]:
+        """Cells (i, j) of pairs k and their landings (i, j_next), for every i."""
+        row, i = _ragged(self.nx[k] + 1)
+        src = (self.offset[k] + j)[row] + i * self.stride[k][row]
+        return src, src + (j_next - j)[row]
+
+    def landings(self, op: str, lexicon) -> Tuple[np.ndarray, np.ndarray]:
+        """Source and landing cells of every application of op, as
+        :func:`edits.apply_edit` defines them."""
+        i, j, gx, gy, nx, ny = self.i, self.j, self.gx, self.gy, self.cell_nx, self.cell_ny
+        stride = ny + 1
+        if op == edits.INSERT:
+            src = np.flatnonzero(j < ny)
+            return src, src + 1
+        if op == edits.DELETE:
+            src = np.flatnonzero(i < nx)
+            return src, src + stride[src]
+        if op == edits.SUBSTITUTE:
+            src = np.flatnonzero((i < nx) & (j < ny))
+            return src, src + stride[src] + 1
+        if op == edits.SWAP:
+            f = self.fold
+            ok = (i + 1 < nx) & (j + 1 < ny)
+            ok &= (f[gx] == f[gy + 1]) & (f[gx + 1] == f[gy]) & (f[gx] != f[gx + 1])
+            src = np.flatnonzero(ok)
+            return src, src + 2 * stride[src] + 2
+        if op not in edits.WORD_LEVEL_OPS:
+            raise ValueError(f"unknown edit operation {op!r}")
+        n = len(self.xs)
+        skip_x = (edits.SKIP_ANY_X, edits.SKIP_LEX_X, edits.SKIP_PRES_X)
+        if op in skip_x or op in (edits.SKIP_ANY_Y, edits.SKIP_LEX_Y, edits.SKIP_PRES_Y):
+            pair, in_x, start, land, tok, tokens = self.words
+            on_x = op in skip_x
+            keep = side = in_x if on_x else ~in_x
+            if op in (edits.SKIP_LEX_X, edits.SKIP_LEX_Y):
+                keep = side & np.array([t in lexicon for t in tokens], dtype=bool)[tok]
+            elif op in (edits.SKIP_PRES_X, edits.SKIP_PRES_Y):
+                # Words whose (pair, token) key also occurs on the other side.
+                key = pair * len(tokens) + tok
+                other = np.sort(key[~side])
+                keep = side & (np.searchsorted(other, key, "right") > np.searchsorted(other, key))
+            rows = self._x_rows if on_x else self._y_rows
+            return rows(pair[keep], start[keep], land[keep])
+        owner, run_end = self.runs
+        if op == edits.DELETE_TO_WORD_END_X:
+            p = np.flatnonzero(~self.sep[: self.start[n]])
+            base = self.start[owner[p]]
+            return self._x_rows(owner[p], p - base, run_end[p] - base)
+        if op in (edits.SKIP_PAREN_X, edits.SKIP_PAREN_Y):
+            # Only an opening parenthesis applies; edits finds its match.
+            on_x = op == edits.SKIP_PAREN_X
+            lo, hi = (0, self.start[n]) if on_x else (self.start[n], len(self.text))
+            p = np.flatnonzero(self.code[lo:hi] == ord("(")) + lo
+            k, at = owner[p] % n, p - self.start[owner[p]]
+            spots = zip(k.tolist(), at.tolist())
+            if on_x:
+                ends = [edits.apply_edit(op, self.xs[a], self.ys[a], b, 0, lexicon)[0].i_next for a, b in spots]
+                return self._x_rows(k, at, np.array(ends, dtype=np.int64))
+            ends = [edits.apply_edit(op, self.xs[a], self.ys[a], 0, b, lexicon)[0].j_next for a, b in spots]
+            return self._y_rows(k, at, np.array(ends, dtype=np.int64))
+        # Abbreviation expansion: every x word against every y word of its pair.
+        pair, in_x, start = self.words[:3]
+        y_words = {}
+        for a, c in zip(pair[~in_x].tolist(), start[~in_x].tolist()):
+            y_words.setdefault(a, []).append(c)
+        cells = []
+        for a, b in zip(pair[in_x].tolist(), start[in_x].tolist()):
+            off, stride = int(self.offset[a]), int(self.stride[a])
+            for c in y_words.get(a, ()):
+                for li, lj in edits.apply_edit(op, self.xs[a], self.ys[a], b, c, lexicon):
+                    cells.append((off + b * stride + c, off + li * stride + lj))
+        cells = np.array(cells, dtype=np.int64).reshape(-1, 2)
+        return cells[:, 0], cells[:, 1]
 
 
 class Runtime:
-    """Read-only model tables for lattice compilation: transitions, states, lexicon."""
+    """Read-only model tables for lattice compilation: states, lexicon, and
+    the transitions as rows (from-state index or -1 for q0, op index,
+    to-state index, group, subset).  The rows of op k start at first[k]:
+    n_from_states[k] rows leaving a state of S0 or S1, then n_from_q0[k]
+    rows leaving q0."""
 
     def __init__(self, model: FsmModel):
         self.model = model
@@ -212,97 +266,24 @@ class Runtime:
         states = list(model.topology.s0) + list(model.topology.s1)
         self.states = states
         self.state_index = {s: k for k, s in enumerate(states)}
-        self.transitions = []
-        for t in model.topology.transitions:
-            group = model.group_of_transition(*t)
-            self.transitions.append(
-                (t.frm, t.op, t.to, group, model.topology.subset_of(t.to))
-            )
-
-    def build_graph(self, x: str, y: str) -> PairGraph:
-        model = self.model
-        if not x and not y:
-            raise DegenerateInputError(
-                "both strings are empty; no non-empty alignment exists"
-            )
-        nx, ny = len(x), len(y)
-        n_states = len(self.states)
-        mask_grid = _predicate_mask_grid(model.predicates, x, y)
-        per_op = {}
-        for op in model.ops:
-            cond, li, lj = _op_landing_grids(op, x, y, self.lexicon)
-            ii, jj = np.nonzero(cond)
-            masks = mask_grid[ii, jj]
-            uniq, inverse = np.unique(masks, return_inverse=True)
-            per_op[op] = (
-                ii.astype(np.int64),
-                jj.astype(np.int64),
-                li[ii, jj].astype(np.int64),
-                lj[ii, jj].astype(np.int64),
-                uniq.astype(np.int64),
-                inverse,
-            )
-        srcs, dsts, sig_codes, sigs, opxs, subs = [], [], [], [], [], []
-        n_codes = 0
-        stride = ny + 1
-        n_predicates = len(model.predicates)
-        for frm, op, to, group, subset in self.transitions:
-            ii, jj, land_i, land_j, uniq, inverse = per_op[op]
-            if frm == Q0:
-                sel = (ii == 0) & (jj == 0)
-                if not sel.any():
-                    continue
-                e_ii, e_jj = ii[sel], jj[sel]
-                e_li, e_lj = land_i[sel], land_j[sel]
-                e_inv = inverse[sel]
-                src = np.zeros(len(e_ii), dtype=np.int64)
-            else:
-                if len(ii) == 0:
-                    continue
-                e_ii, e_jj, e_li, e_lj, e_inv = ii, jj, land_i, land_j, inverse
-                src = 1 + (e_ii * stride + e_jj) * n_states + self.state_index[frm]
-            dst = 1 + (e_li * stride + e_lj) * n_states + self.state_index[to]
-            srcs.append(src)
-            dsts.append(dst)
-            sig_codes.append(group << n_predicates | uniq)
-            sigs.append(e_inv + n_codes)
-            n_codes += len(uniq)
-            opxs.append(np.full(len(e_ii), self.op_index[op], dtype=np.int8))
-            subs.append(np.full(len(e_ii), subset, dtype=np.int8))
-        if srcs:
-            src = np.concatenate(srcs)
-            dst = np.concatenate(dsts)
-            codes = np.concatenate(sig_codes)
-            sig = np.concatenate(sigs)
-            op_idx = np.concatenate(opxs)
-            subset = np.concatenate(subs)
-        else:
-            src = dst = codes = sig = np.zeros(0, dtype=np.int64)
-            op_idx = subset = np.zeros(0, dtype=np.int8)
-        cell = (src - 1) // n_states
-        i_of = cell // stride
-        j_of = cell % stride
-        src_diag = np.where(src == 0, 0, i_of + j_of).astype(np.int32)
-        final = 1 + (nx * stride + ny) * n_states
-        acc0 = np.array([final + self.state_index[s] for s in model.topology.s0], dtype=np.int64)
-        acc1 = np.array([final + self.state_index[s] for s in model.topology.s1], dtype=np.int64)
-        return PairGraph(
-            x=x,
-            y=y,
-            nx=nx,
-            ny=ny,
-            n_states=n_states,
-            n_nodes=1 + (nx + 1) * (ny + 1) * n_states,
-            src=src,
-            dst=dst,
-            codes=codes,
-            sig=sig,
-            op_idx=op_idx,
-            subset=subset,
-            src_diag=src_diag,
-            acc0=acc0,
-            acc1=acc1,
-        )
+        rows = np.array(
+            [
+                (
+                    -1 if t.frm == Q0 else self.state_index[t.frm],
+                    self.op_index[t.op],
+                    self.state_index[t.to],
+                    model.group_of_transition(*t),
+                    model.topology.subset_of(t.to),
+                )
+                for t in model.topology.transitions
+            ],
+            dtype=np.int64,
+        ).reshape(-1, 5)
+        from_q0 = rows[:, 0] < 0
+        self.transitions = rows[np.lexsort((from_q0, rows[:, 1]))]
+        self.n_from_states = np.bincount(rows[~from_q0, 1], minlength=len(model.ops))
+        self.n_from_q0 = np.bincount(rows[from_q0, 1], minlength=len(model.ops))
+        self.first = np.cumsum(self.n_from_states + self.n_from_q0) - self.n_from_states - self.n_from_q0
 
 
 def _segment_logsumexp(vals: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -313,20 +294,19 @@ def _segment_logsumexp(vals: np.ndarray, starts: np.ndarray) -> np.ndarray:
     lens = np.diff(np.append(starts, len(vals)))
     shifted = np.exp(vals - np.repeat(safe, lens))
     sums = np.add.reduceat(shifted, starts)
-    with np.errstate(divide="ignore"):
-        out = safe + np.log(sums)
-    return np.where(finite, out, NEG_INF)
+    # Where the max is finite the sum is at least 1, so only there is a log taken.
+    out = np.log(sums, out=np.full(len(sums), NEG_INF), where=finite)
+    return np.add(safe, out, out=out, where=finite)
 
 
-def _signature_matrix(codes: np.ndarray, n_predicates: int, n_features: int) -> sparse.csr_array:
-    """(n_sigs, n_features) indicator of sorted signature codes: code
-    group << n_predicates | mask has features group * n_predicates + p for
-    the set bits p of mask, in ascending order within each row."""
-    bits = codes[:, None] >> np.arange(n_predicates) & 1
-    rows, preds = np.nonzero(bits)
-    fids = (codes[rows] >> n_predicates) * n_predicates + preds
-    indptr = np.searchsorted(rows, np.arange(len(codes) + 1))
-    return sparse.csr_array((np.ones(len(fids)), fids, indptr), shape=(len(codes), n_features))
+def _signature_features(codes: np.ndarray, n_predicates: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Entries (signature, feature id) of the indicator of sorted signature
+    codes: code group << n_predicates | mask has features
+    group * n_predicates + p for the set bits p of mask.  Entries run by
+    signature, then by feature, so a bincount over them adds in the same
+    order as a sparse product with the indicator or its transpose."""
+    rows, preds = np.nonzero(codes[:, None] >> np.arange(n_predicates) & 1)
+    return rows, (codes[rows] >> n_predicates) * n_predicates + preds
 
 
 # Semirings of the forward sweep as (segmented reduce, elementwise combine):
@@ -341,46 +321,74 @@ class Batch:
 
     def __init__(self, model: FsmModel, xy_pairs: Sequence[Tuple[str, str]], pair_ids=None):
         self.model = model
-        self.runtime = Runtime(model)
-        self.pair_ids = list(pair_ids) if pair_ids is not None else [str(k) for k in range(len(xy_pairs))]
-        graphs = []
-        for k, (x, y) in enumerate(xy_pairs):
-            try:
-                graphs.append(self.runtime.build_graph(x, y))
-            except DegenerateInputError as exc:
-                raise DegenerateInputError(f"pair {self.pair_ids[k]!r}: {exc}") from exc
-        self.graphs = graphs
-        self.n_pairs = len(graphs)
+        self.runtime = rt = Runtime(model)
+        xs, ys = [x for x, _ in xy_pairs], [y for _, y in xy_pairs]
+        self.pair_ids = list(pair_ids) if pair_ids is not None else [str(k) for k in range(len(xs))]
+        self.n_pairs = len(xs)
         if self.n_pairs == 0:
             raise ValueError("batch requires at least one pair")
-        sizes = np.array([g.n_nodes for g in graphs], dtype=np.int64)
-        self.node_offset = np.concatenate(([0], np.cumsum(sizes)))
+        cells = _Cells(xs, ys)
+        self.nx, self.ny = cells.nx, cells.ny
+        empty = np.flatnonzero((self.nx == 0) & (self.ny == 0))
+        if len(empty):
+            raise DegenerateInputError(
+                f"pair {self.pair_ids[empty[0]]!r}: both strings are empty; no non-empty alignment exists"
+            )
+        n_states = len(rt.states)
+        # Node id of cell c in state s is pair + 1 + c * n_states + s; the
+        # start node of a pair is the id just before its cell (0, 0).
+        self.node_offset = np.arange(self.n_pairs + 1) + cells.offset * n_states
         self.n_nodes = int(self.node_offset[-1])
         self.start_ids = self.node_offset[:-1]
-        src = np.concatenate([g.src + off for g, off in zip(graphs, self.node_offset)])
-        dst = np.concatenate([g.dst + off for g, off in zip(graphs, self.node_offset)])
-        # Signature ids are ranks of the batch's own codes, so they do not
-        # depend on what else was compiled for the model.
-        codes, code_sig = np.unique(np.concatenate([g.codes for g in graphs]), return_inverse=True)
-        code_offset = np.cumsum([0] + [len(g.codes) for g in graphs])
-        local_sig = np.concatenate([g.sig + off for g, off in zip(graphs, code_offset)])
-        self.sig = code_sig.astype(np.int32)[local_sig]
-        self.n_sigs = len(codes)
-        self.sig_matrix = _signature_matrix(codes, len(model.predicates), model.n_features)
-        self.op_idx = np.concatenate([g.op_idx for g in graphs])
-        self.subset = np.concatenate([g.subset for g in graphs])
-        src_diag = np.concatenate([g.src_diag for g in graphs])
-        self.pair_of_edge = np.concatenate(
-            [np.full(len(g.src), k, dtype=np.int32) for k, g in enumerate(graphs)]
+        base = cells.pair + 1 + np.arange(len(cells.pair)) * n_states
+        diag = cells.i + cells.j
+        masks, mask_id = np.unique(cells.masks(model.predicates), return_inverse=True)
+        # Every application of an operation, once per transition of that
+        # operation; transitions from q0 apply at cell (0, 0) only.
+        apps = [cells.landings(op, rt.lexicon) for op in model.ops]
+        app_op = np.repeat(np.arange(len(model.ops)), [len(src) for src, _ in apps])
+        app_src = np.concatenate([src for src, _ in apps])
+        row, rank = _ragged(rt.n_from_states[app_op] + rt.n_from_q0[app_op] * (diag[app_src] == 0))
+        trans = rt.first[app_op][row] + rank
+        cell = app_src[row]
+        land = np.concatenate([dst for _, dst in apps])[row]
+        del apps, app_op, app_src, row, rank
+        frm, op_idx, to, group, subset = rt.transitions.T
+        src = base[cell] + frm[trans]
+        dst = base[land] + to[trans]
+        src_diag = diag[cell]
+        del land
+        # Backward order is (diagonal, source, operation, destination), one
+        # unique key below n_diags * n_nodes * n_ops * n_states; forward
+        # order (diagonal, destination, source, operation) is a stable sort
+        # of it by (diagonal, destination).
+        by_src = np.argsort(
+            ((src_diag * self.n_nodes + src) * len(model.ops) + op_idx[trans]) * n_states + to[trans]
         )
-        order = np.lexsort((self.op_idx, src, dst, src_diag))
+        by_dst = np.argsort((src_diag * self.n_nodes + dst)[by_src], kind="stable")
+        order = by_src[by_dst]
+        del by_src
         self.src = src[order]
         self.dst = dst[order]
-        self.sig = self.sig[order]
-        self.op_idx = self.op_idx[order]
-        self.subset = self.subset[order]
-        self.src_diag = src_diag[order]
-        self.pair_of_edge = self.pair_of_edge[order]
+        self.src_diag = src_diag[order].astype(np.int32)
+        del src, dst, src_diag
+        trans, cell = trans[order], cell[order]
+        del order
+        self.op_idx = op_idx.astype(np.int8)[trans]
+        self.subset = subset.astype(np.int8)[trans]
+        self.pair_of_edge = cells.pair.astype(np.int32)[cell]
+        # Signature ids number the (group, mask) pairs of the batch's own
+        # edges in sorted order, which is the order of their codes
+        # group << n_predicates | mask, so they depend on nothing else.
+        key = group[trans] * len(masks) + mask_id[cell]
+        del trans, cell
+        used = np.bincount(key, minlength=model.n_groups * len(masks)) > 0
+        self.sig = (np.cumsum(used) - 1)[key].astype(np.int32)
+        key = np.flatnonzero(used)
+        self.n_sigs = len(key)
+        n_predicates = len(model.predicates)
+        codes = (key // len(masks)) << n_predicates | masks[key % len(masks)]
+        self.sig_rows, self.sig_features = _signature_features(codes, n_predicates)
         self.n_edges = len(self.src)
         self.n_diags = int(self.src_diag.max()) + 1 if self.n_edges else 1
         self.fwd_diag_ptr = np.searchsorted(self.src_diag, np.arange(self.n_diags + 1))
@@ -394,10 +402,10 @@ class Batch:
             self.src_diag[self.fwd_seg_starts], np.arange(self.n_diags + 1)
         )
         # Backward ordering groups each source's outgoing edges together.
-        border = np.lexsort((self.dst, self.op_idx, self.src, self.src_diag))
-        self.bwd_perm = border
-        b_src = self.src[border]
-        b_diag = self.src_diag[border]
+        self.bwd_perm = np.empty_like(by_dst)
+        self.bwd_perm[by_dst] = np.arange(self.n_edges)
+        b_src = self.src[self.bwd_perm]
+        b_diag = self.src_diag[self.bwd_perm]
         self.bwd_diag_ptr = np.searchsorted(b_diag, np.arange(self.n_diags + 1))
         if self.n_edges:
             bchange = (np.diff(b_diag) != 0) | (np.diff(b_src) != 0)
@@ -408,36 +416,33 @@ class Batch:
         self.bwd_seg_ptr = np.searchsorted(
             b_diag[self.bwd_seg_starts], np.arange(self.n_diags + 1)
         )
-        self.acc0 = np.stack([g.acc0 + off for g, off in zip(graphs, self.node_offset)])
-        self.acc1 = np.stack([g.acc1 + off for g, off in zip(graphs, self.node_offset)])
+        final = self.node_offset[1:] - n_states
+        n_s0 = len(model.topology.s0)
+        self.acc0 = final[:, None] + np.arange(n_s0)
+        self.acc1 = final[:, None] + np.arange(n_s0, n_states)
         self._beam_nodes = None
 
     # -- potentials ---------------------------------------------------
 
     def edge_weights(self, params: np.ndarray) -> np.ndarray:
-        sig_w = self.sig_matrix @ np.asarray(params, dtype=np.float64)
+        params = np.asarray(params, dtype=np.float64)
+        sig_w = np.bincount(self.sig_rows, weights=params[self.sig_features], minlength=self.n_sigs)
         return sig_w[self.sig]
 
     # -- sweeps -------------------------------------------------------
 
     def _beam_structure(self):
         if self._beam_nodes is None:
-            ids, pairs, diags = [], [], []
-            for k, (g, off) in enumerate(zip(self.graphs, self.node_offset)):
-                local = np.arange(g.n_nodes, dtype=np.int64)
-                cell = (local - 1) // g.n_states
-                i = cell // (g.ny + 1)
-                j = cell % (g.ny + 1)
-                diag = np.where(local == 0, 0, i + j)
-                ids.append(local + off)
-                pairs.append(np.full(g.n_nodes, k, dtype=np.int32))
-                diags.append(diag.astype(np.int32))
-            ids = np.concatenate(ids)
-            pairs = np.concatenate(pairs)
-            diags = np.concatenate(diags)
-            order = np.lexsort((ids, pairs, diags))
-            ids, pairs, diags = ids[order], pairs[order], diags[order]
-            ptr = np.searchsorted(diags, np.arange(diags.max() + 2))
+            n_states = len(self.runtime.states)
+            _, pair, i, j = _cell_table(self.nx, self.ny)
+            diags = np.zeros(self.n_nodes, dtype=np.int32)
+            nodes = (pair + 1 + np.arange(len(pair)) * n_states)[:, None] + np.arange(n_states)
+            diags[nodes.ravel()] = np.repeat(i + j, n_states)
+            # Node ids ascend with the pair, so (diagonal, id) order is
+            # (diagonal, pair, id) order.
+            ids = np.argsort(diags, kind="stable")
+            pairs = np.repeat(np.arange(self.n_pairs, dtype=np.int32), np.diff(self.node_offset))[ids]
+            ptr = np.searchsorted(diags[ids], np.arange(diags.max() + 2))
             self._beam_nodes = (ids, pairs, ptr)
         return self._beam_nodes
 
@@ -548,13 +553,17 @@ class Batch:
         if by_pair:
             return self.counts_by_pair(p)
         mass = np.bincount(self.sig, weights=p, minlength=self.n_sigs)
-        return self.sig_matrix.T @ mass
+        return np.bincount(self.sig_features, weights=mass[self.sig_rows], minlength=self.model.n_features)
 
     def counts_by_pair(self, edge_mass: np.ndarray) -> np.ndarray:
         """Feature counts per pair of a per-edge mass: one bincount over (pair, signature)."""
         key = self.pair_of_edge.astype(np.int64) * self.n_sigs + self.sig
         mass = np.bincount(key, weights=edge_mass, minlength=self.n_pairs * self.n_sigs)
-        return np.ascontiguousarray(mass.reshape(self.n_pairs, self.n_sigs) @ self.sig_matrix)
+        indptr = np.searchsorted(self.sig_rows, np.arange(self.n_sigs + 1))
+        indicator = sparse.csr_array(
+            (np.ones(len(self.sig_rows)), self.sig_features, indptr), shape=(self.n_sigs, self.model.n_features)
+        )
+        return np.ascontiguousarray(mass.reshape(self.n_pairs, self.n_sigs) @ indicator)
 
     def check_paths(self, lz: np.ndarray, what: str) -> None:
         bad = np.flatnonzero(~np.isfinite(lz))

@@ -80,13 +80,13 @@ class Lattice:
         return self
 
     def _node(self, i: int, j: int, state: int) -> Optional[int]:
-        g = self.batch.graphs[0]
+        b = self.batch
         if state == Q0:
             return 0 if (i, j) == (0, 0) else None
-        s_idx = self.batch.runtime.state_index.get(state)
-        if s_idx is None or not (0 <= i <= g.nx and 0 <= j <= g.ny):
+        s_idx = b.runtime.state_index.get(state)
+        if s_idx is None or not (0 <= i <= b.nx[0] and 0 <= j <= b.ny[0]):
             return None
-        return 1 + (i * (g.ny + 1) + j) * g.n_states + s_idx
+        return 1 + (i * (int(b.ny[0]) + 1) + j) * len(b.runtime.states) + s_idx
 
     def alpha_at(self, i: int, j: int, state: int) -> float:
         node = self._node(i, j, state)
@@ -242,7 +242,8 @@ class _BestPaths:
         """(operation, landed i, landed j, state) of edge k."""
         b = self.batch
         pair = b.pair_of_edge[k]
-        i, j, s_idx = b.graphs[pair].node_cell(int(b.dst[k] - b.node_offset[pair]))
+        cell, s_idx = divmod(int(b.dst[k] - b.node_offset[pair]) - 1, len(b.runtime.states))
+        i, j = divmod(cell, int(b.ny[pair]) + 1)
         return b.model.ops[b.op_idx[k]], i, j, b.runtime.states[s_idx]
 
     def _key(self, k: int) -> Tuple[int, Tuple[str, ...], Tuple[int, ...]]:

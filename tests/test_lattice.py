@@ -19,11 +19,28 @@ from editcrf import (
     posterior_match,
     viterbi,
 )
-from editcrf.engine import Batch, _predicate_mask_grid
+from editcrf import edits
+from editcrf.engine import Batch, _Cells
 from editcrf.errors import DegenerateInputError, NoPathError
-from editcrf.features import eval_predicate
+from editcrf.features import LexiconSet, eval_predicate
 from editcrf.lattice import _BestPaths, alignment_feature_counts
+from editcrf.model import Q0
 from conftest import oracle_terms
+
+SKIP_PRESENT = [edits.SKIP_PRES_X, edits.SKIP_PRES_Y]
+
+# Pairs for the word-level operations: every separator, nested and
+# unbalanced parentheses, dotted and all-caps abbreviations, digits, mixed
+# case, lexicon words, and an empty x and an empty y.
+WORDY_PAIRS = [
+    ("Proc. ACM (SIGMOD), 1999", "porceedings of the ACM sigmod: 1999"),
+    ('J. SMITH; DEPT "R&D"', "john smith, Department of R&D"),
+    ("((a) b (c", "x) y (z"),
+    ("IBM corp.", "International Business Machines Corp"),
+    ("", "the lab"),
+    ("Lab (of) MIT", ""),
+    ("a1-B2 c3;d", "A1 b2-C3 (d)"),
+]
 
 
 def with_same_substitute_weight(model, value=1.0):
@@ -107,19 +124,19 @@ def _cut_mass(lat, d):
     """Alpha+beta mass crossing anti-diagonal d: nodes on the diagonal
     plus edges that jump over it."""
     batch = lat.batch
-    g = batch.graphs[0]
+    nx, ny, n_states = int(batch.nx[0]), int(batch.ny[0]), len(batch.runtime.states)
     terms = []
-    for i in range(g.nx + 1):
+    for i in range(nx + 1):
         j = d - i
-        if not 0 <= j <= g.ny:
+        if not 0 <= j <= ny:
             continue
         for state in ([0] if d == 0 else []) + list(batch.runtime.states):
             a = lat.alpha_at(i, j, state)
             b = lat.beta_at(i, j, state)
             if np.isfinite(a) and np.isfinite(b):
                 terms.append(a + b)
-    dst_cell = (batch.dst - 1) // g.n_states
-    dst_diag = dst_cell // (g.ny + 1) + dst_cell % (g.ny + 1)
+    dst_cell = (batch.dst - 1) // n_states
+    dst_diag = dst_cell // (ny + 1) + dst_cell % (ny + 1)
     spanning = np.flatnonzero((batch.src_diag < d) & (dst_diag > d))
     for k in spanning:
         a = lat.alpha[batch.src[k]]
@@ -301,7 +318,7 @@ def test_no_path_error_under_substitute_only():
 def test_mask_grid_matches_eval_predicate():
     model = build_model(["insert", "delete", "substitute"])
     x, y = "a1(b.", "B1 a."
-    mask = _predicate_mask_grid(model.predicates, x, y)
+    mask = _Cells([x], [y]).masks(model.predicates).reshape(len(x) + 1, len(y) + 1)
     for i in range(len(x) + 1):
         for j in range(len(y) + 1):
             for bit, name in enumerate(model.predicates):
@@ -310,16 +327,81 @@ def test_mask_grid_matches_eval_predicate():
 
 def test_batch_of_many_matches_per_pair(ids_model):
     rng = np.random.default_rng(55)
-    model = ids_model.with_params(rng.uniform(-1, 1, ids_model.n_features))
-    pairs = [("a", "b"), ("ab", "ba"), ("b", "")]
-    batch = Batch(model, pairs)
-    w = batch.edge_weights(model.params)
-    alpha, _ = batch.forward(w)
-    lz0, lz1 = batch.log_partitions(alpha)
+    pairs = [("a", "b"), ("ab", "ba"), ("b", ""), ("", "ab")]
+    pairs += [("john a. smith", "smith, john"), ("mary-ann lee", "lee (mary) ann")]
+    second = build_model(["insert", "delete", "substitute", "swap-two-characters"] + SKIP_PRESENT, "second-order")
+    for model0 in (ids_model, second):
+        model = model0.with_params(rng.uniform(-1, 1, model0.n_features))
+        batch = Batch(model, pairs)
+        w = batch.edge_weights(model.params)
+        alpha, _ = batch.forward(w)
+        lz0, lz1 = batch.log_partitions(alpha)
+        for k, (x, y) in enumerate(pairs):
+            lat = forward(model, x, y)
+            assert constrained_log_partition(lat, 0) == lz0[k]
+            assert constrained_log_partition(lat, 1) == lz1[k]
+
+
+def test_every_signature_id_is_used():
+    model = build_model(["insert", "delete", "substitute"] + SKIP_PRESENT)
+    for pairs in ([("john smith", "jon smith")], [("john smith", "jon smith"), ("a b", "b"), ("", "x")]):
+        batch = Batch(model, pairs)
+        assert np.bincount(batch.sig, minlength=batch.n_sigs).all()
+
+
+def _decoded_edges(batch):
+    """(pair, i, j, from, op, to, landed i, landed j, group, predicate mask)
+    of every edge of a batch, read back from its arrays."""
+    model, states = batch.model, np.array(batch.runtime.states)
+    n_predicates = len(model.predicates)
+    rows, features = batch.sig_rows, batch.sig_features
+    sig_group = np.zeros(batch.n_sigs, dtype=np.int64)
+    sig_group[rows] = features // n_predicates
+    sig_mask = np.bincount(rows, weights=1 << (features % n_predicates), minlength=batch.n_sigs)
+    pair = batch.pair_of_edge.astype(np.int64)
+    ends = []
+    for node in (batch.src, batch.dst):
+        cell, s_idx = np.divmod(node - batch.node_offset[pair] - 1, len(states))
+        i, j = np.divmod(cell, batch.ny[pair] + 1)
+        start = cell < 0
+        ends.append((np.where(start, 0, i), np.where(start, 0, j), np.where(start, Q0, states[s_idx])))
+    (i, j, frm), (i2, j2, to) = ends
+    ops = np.array(model.ops)[batch.op_idx]
+    columns = (pair, i, j, frm, ops, to, i2, j2, sig_group[batch.sig], sig_mask[batch.sig].astype(np.int64))
+    return list(zip(*(c.tolist() for c in columns)))
+
+
+def _applied_edges(model, pairs):
+    """The same tuples from edits.apply_edit and features.eval_predicate."""
+    out = []
     for k, (x, y) in enumerate(pairs):
-        lat = forward(model, x, y)
-        assert constrained_log_partition(lat, 0) == lz0[k]
-        assert constrained_log_partition(lat, 1) == lz1[k]
+        for i in range(len(x) + 1):
+            for j in range(len(y) + 1):
+                bits = enumerate(model.predicates)
+                mask = sum(eval_predicate(name, x, y, i, j) << bit for bit, name in bits)
+                for op in model.ops:
+                    for landing in edits.apply_edit(op, x, y, i, j, lexicon=model.lexicon_union):
+                        for t in model.topology.transitions:
+                            if t.op == op and (t.frm != Q0 or (i, j) == (0, 0)):
+                                group = model.group_of_transition(*t)
+                                out.append((k, i, j, t.frm, op, t.to, *landing, group, mask))
+    return out
+
+
+@pytest.mark.parametrize("order, n_pairs", [("first-order", len(WORDY_PAIRS)), ("second-order", 3)])
+def test_compiled_edges_match_apply_edit(order, n_pairs):
+    """Every edge of a multi-pair batch, for all registered operations, is
+    one application of a transition that edits.apply_edit allows, with the
+    predicates features.eval_predicate finds at its source cell, and every
+    such application is one edge."""
+    lexicon = LexiconSet("words", frozenset({"the", "of", "corp.", "acm", "lab"}))
+    model = build_model(edits.registry(), order, lexicons={"words": lexicon})
+    pairs = WORDY_PAIRS[:n_pairs]
+    got = _decoded_edges(Batch(model, pairs))
+    want = _applied_edges(model, pairs)
+    assert len(set(got)) == len(got)
+    assert set(got) == set(want)
+    assert {e[4] for e in got} == set(edits.registry())
 
 
 def test_second_order_matches_oracle():
