@@ -3,8 +3,14 @@
 The lattice for a string pair has one node per (i, j, state) triple plus a
 start node for q0 at (0, 0).  Because every edit strictly increases i + j,
 nodes can be processed one anti-diagonal at a time, and a whole corpus of
-pairs can share a single sweep: edges of all pairs are merged, sorted by
-source anti-diagonal, and reduced with segmented log-sum-exp.
+pairs can share a single sweep: edges of all pairs are merged and sorted by
+source anti-diagonal.
+
+Every pass runs through one sweep routine over per-diagonal steps of one
+direction: forward reads sources and writes destinations, in ascending
+diagonals (log-sum for alignment mass, max for best-path scores); backward
+reads destinations and writes sources, in descending diagonals.  A beam
+reruns the forward sweep with the cut nodes' outgoing potentials at -inf.
 
 A batch is compiled in one pass over all of its pairs.  Their strings are
 concatenated once, every (i, j) cell of every pair is one row of a flat
@@ -35,7 +41,7 @@ from scipy import sparse
 
 from . import edits
 from .errors import DegenerateInputError, NoPathError
-from .model import Q0, FsmModel
+from .model import FsmModel
 
 NEG_INF = -np.inf
 
@@ -252,40 +258,6 @@ class _Cells:
         return cells[:, 0], cells[:, 1]
 
 
-class Runtime:
-    """Read-only model tables for lattice compilation: states, lexicon, and
-    the transitions as rows (from-state index or -1 for q0, op index,
-    to-state index, group, subset).  The rows of op k start at first[k]:
-    n_from_states[k] rows leaving a state of S0 or S1, then n_from_q0[k]
-    rows leaving q0."""
-
-    def __init__(self, model: FsmModel):
-        self.model = model
-        self.lexicon = model.lexicon_union
-        self.op_index = {op: k for k, op in enumerate(model.ops)}
-        states = list(model.topology.s0) + list(model.topology.s1)
-        self.states = states
-        self.state_index = {s: k for k, s in enumerate(states)}
-        rows = np.array(
-            [
-                (
-                    -1 if t.frm == Q0 else self.state_index[t.frm],
-                    self.op_index[t.op],
-                    self.state_index[t.to],
-                    model.group_of_transition(*t),
-                    model.topology.subset_of(t.to),
-                )
-                for t in model.topology.transitions
-            ],
-            dtype=np.int64,
-        ).reshape(-1, 5)
-        from_q0 = rows[:, 0] < 0
-        self.transitions = rows[np.lexsort((from_q0, rows[:, 1]))]
-        self.n_from_states = np.bincount(rows[~from_q0, 1], minlength=len(model.ops))
-        self.n_from_q0 = np.bincount(rows[from_q0, 1], minlength=len(model.ops))
-        self.first = np.cumsum(self.n_from_states + self.n_from_q0) - self.n_from_states - self.n_from_q0
-
-
 def _segment_logsumexp(vals: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Log-sum-exp over contiguous segments (max-shifted for stability)."""
     m = np.maximum.reduceat(vals, starts)
@@ -299,6 +271,26 @@ def _segment_logsumexp(vals: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return np.add(safe, out, out=out, where=finite)
 
 
+_Step = Tuple[int, int, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _steps(diag: np.ndarray, read: np.ndarray, write: np.ndarray) -> List[_Step]:
+    """Per-diagonal steps of one sweep order, whose edges run by diagonal,
+    then by the node they write.  A step is a diagonal's edge range lo:hi,
+    the node each of those edges reads, the starts (relative to lo) of the
+    runs of edges that write one node, and the node each run writes."""
+    if not len(diag):
+        return []
+    new_diag = diag[1:] != diag[:-1]
+    seg = np.flatnonzero(np.concatenate(([True], new_diag | (write[1:] != write[:-1]))))
+    edge_ptr = np.flatnonzero(np.concatenate(([True], new_diag, [True])))
+    seg_ptr = np.searchsorted(seg, edge_ptr)
+    starts = seg - np.repeat(edge_ptr[:-1], np.diff(seg_ptr))
+    written = write[seg]
+    bounds = zip(edge_ptr[:-1].tolist(), edge_ptr[1:].tolist(), seg_ptr[:-1].tolist(), seg_ptr[1:].tolist())
+    return [(lo, hi, read[lo:hi], starts[a:b], written[a:b]) for lo, hi, a, b in bounds]
+
+
 def _signature_features(codes: np.ndarray, n_predicates: int) -> Tuple[np.ndarray, np.ndarray]:
     """Entries (signature, feature id) of the indicator of sorted signature
     codes: code group << n_predicates | mask has features
@@ -307,6 +299,15 @@ def _signature_features(codes: np.ndarray, n_predicates: int) -> Tuple[np.ndarra
     order as a sparse product with the indicator or its transpose."""
     rows, preds = np.nonzero(codes[:, None] >> np.arange(n_predicates) & 1)
     return rows, (codes[rows] >> n_predicates) * n_predicates + preds
+
+
+def _sweep(steps: List[_Step], values: np.ndarray, w: np.ndarray, semiring) -> np.ndarray:
+    """Run the steps of one sweep order over node values in place, with w
+    the edge potentials in that order."""
+    reduce, combine = semiring
+    for lo, hi, read, starts, written in steps:
+        values[written] = combine(values[written], reduce(values[read] + w[lo:hi], starts))
+    return values
 
 
 # Semirings of the forward sweep as (segmented reduce, elementwise combine):
@@ -321,7 +322,7 @@ class Batch:
 
     def __init__(self, model: FsmModel, xy_pairs: Sequence[Tuple[str, str]], pair_ids=None):
         self.model = model
-        self.runtime = rt = Runtime(model)
+        self.runtime = rt = model.transition_table
         xs, ys = [x for x, _ in xy_pairs], [y for _, y in xy_pairs]
         self.pair_ids = list(pair_ids) if pair_ids is not None else [str(k) for k in range(len(xs))]
         self.n_pairs = len(xs)
@@ -345,7 +346,7 @@ class Batch:
         masks, mask_id = np.unique(cells.masks(model.predicates), return_inverse=True)
         # Every application of an operation, once per transition of that
         # operation; transitions from q0 apply at cell (0, 0) only.
-        apps = [cells.landings(op, rt.lexicon) for op in model.ops]
+        apps = [cells.landings(op, model.lexicon_union) for op in model.ops]
         app_op = np.repeat(np.arange(len(model.ops)), [len(src) for src, _ in apps])
         app_src = np.concatenate([src for src, _ in apps])
         row, rank = _ragged(rt.n_from_states[app_op] + rt.n_from_q0[app_op] * (diag[app_src] == 0))
@@ -359,7 +360,7 @@ class Batch:
         src_diag = diag[cell]
         del land
         # Backward order is (diagonal, source, operation, destination), one
-        # unique key below n_diags * n_nodes * n_ops * n_states; forward
+        # unique key below diagonals * n_nodes * n_ops * n_states; forward
         # order (diagonal, destination, source, operation) is a stable sort
         # of it by (diagonal, destination).
         by_src = np.argsort(
@@ -390,37 +391,13 @@ class Batch:
         codes = (key // len(masks)) << n_predicates | masks[key % len(masks)]
         self.sig_rows, self.sig_features = _signature_features(codes, n_predicates)
         self.n_edges = len(self.src)
-        self.n_diags = int(self.src_diag.max()) + 1 if self.n_edges else 1
-        self.fwd_diag_ptr = np.searchsorted(self.src_diag, np.arange(self.n_diags + 1))
-        if self.n_edges:
-            change = (np.diff(self.src_diag) != 0) | (np.diff(self.dst) != 0)
-            self.fwd_seg_starts = np.concatenate(([0], np.flatnonzero(change) + 1))
-        else:
-            self.fwd_seg_starts = np.zeros(0, dtype=np.int64)
-        self.fwd_seg_dst = self.dst[self.fwd_seg_starts] if self.n_edges else np.zeros(0, dtype=np.int64)
-        self.fwd_seg_ptr = np.searchsorted(
-            self.src_diag[self.fwd_seg_starts], np.arange(self.n_diags + 1)
-        )
-        # Backward ordering groups each source's outgoing edges together.
         self.bwd_perm = np.empty_like(by_dst)
         self.bwd_perm[by_dst] = np.arange(self.n_edges)
-        b_src = self.src[self.bwd_perm]
-        b_diag = self.src_diag[self.bwd_perm]
-        self.bwd_diag_ptr = np.searchsorted(b_diag, np.arange(self.n_diags + 1))
-        if self.n_edges:
-            bchange = (np.diff(b_diag) != 0) | (np.diff(b_src) != 0)
-            self.bwd_seg_starts = np.concatenate(([0], np.flatnonzero(bchange) + 1))
-        else:
-            self.bwd_seg_starts = np.zeros(0, dtype=np.int64)
-        self.bwd_seg_src = b_src[self.bwd_seg_starts] if self.n_edges else np.zeros(0, dtype=np.int64)
-        self.bwd_seg_ptr = np.searchsorted(
-            b_diag[self.bwd_seg_starts], np.arange(self.n_diags + 1)
-        )
+        self._forward_steps = _steps(self.src_diag, self.src, self.dst)
         final = self.node_offset[1:] - n_states
         n_s0 = len(model.topology.s0)
         self.acc0 = final[:, None] + np.arange(n_s0)
         self.acc1 = final[:, None] + np.arange(n_s0, n_states)
-        self._beam_nodes = None
 
     # -- potentials ---------------------------------------------------
 
@@ -431,100 +408,77 @@ class Batch:
 
     # -- sweeps -------------------------------------------------------
 
-    def _beam_structure(self):
-        if self._beam_nodes is None:
-            n_states = len(self.runtime.states)
-            _, pair, i, j = _cell_table(self.nx, self.ny)
-            diags = np.zeros(self.n_nodes, dtype=np.int32)
-            nodes = (pair + 1 + np.arange(len(pair)) * n_states)[:, None] + np.arange(n_states)
-            diags[nodes.ravel()] = np.repeat(i + j, n_states)
-            # Node ids ascend with the pair, so (diagonal, id) order is
-            # (diagonal, pair, id) order.
-            ids = np.argsort(diags, kind="stable")
-            pairs = np.repeat(np.arange(self.n_pairs, dtype=np.int32), np.diff(self.node_offset))[ids]
-            ptr = np.searchsorted(diags[ids], np.arange(diags.max() + 2))
-            self._beam_nodes = (ids, pairs, ptr)
-        return self._beam_nodes
+    @cached_property
+    def _backward_steps(self) -> List[_Step]:
+        # Backward order is a permutation within each source diagonal, so
+        # it has the same diagonal sequence as forward order.
+        return _steps(self.src_diag, self.dst[self.bwd_perm], self.src[self.bwd_perm])[::-1]
 
-    def _beam_kill_lists(self, ranking_alpha: np.ndarray, width: int):
-        """Nodes to suppress per anti-diagonal, keeping the `width`
-        highest-mass nodes per pair (ties broken by node id).
+    def _sweep_forward(self, w: np.ndarray, semiring=LOG_SUM) -> np.ndarray:
+        alpha = np.full(self.n_nodes, NEG_INF)
+        alpha[self.start_ids] = 0.0
+        return _sweep(self._forward_steps, alpha, w, semiring)
+
+    def _beam_cut(self, alpha: np.ndarray, width: int) -> np.ndarray:
+        """Mask of the nodes outside the beam: those ranked width or later
+        by exact forward mass among the nodes of their pair on their
+        anti-diagonal, ties broken by node id.  A pair's final cell holds
+        only accepting nodes and is never cut.
 
         Ranking uses the exact forward mass, so the kept sets for width
         w are a prefix of those for width w + 1; surviving path sets
         therefore nest and pruned partition mass grows monotonically
         with the beam width.
         """
-        ids, pairs, ptr = self._beam_structure()
-        kill_by_diag = {}
-        pruned = False
-        for d in range(len(ptr) - 1):
-            lo, hi = ptr[d], ptr[d + 1]
-            if hi - lo <= width:
-                continue
-            node_ids = ids[lo:hi]
-            node_pairs = pairs[lo:hi]
-            vals = ranking_alpha[node_ids]
-            order = np.lexsort((node_ids, -vals, node_pairs))
-            sorted_pairs = node_pairs[order]
-            first = np.concatenate(([0], np.flatnonzero(np.diff(sorted_pairs) != 0) + 1))
-            start_of = np.repeat(first, np.diff(np.append(first, len(order))))
-            rank = np.arange(len(order)) - start_of
-            kill = order[rank >= width]
-            if len(kill):
-                kill_by_diag[d] = node_ids[kill]
-                pruned = pruned or bool(np.isfinite(vals[kill]).any())
-        return kill_by_diag, pruned
-
-    def _sweep_forward(self, w: np.ndarray, kill_by_diag=None, semiring=LOG_SUM) -> np.ndarray:
-        reduce, combine = semiring
-        alpha = np.full(self.n_nodes, NEG_INF)
-        alpha[self.start_ids] = 0.0
-        for d in range(self.n_diags):
-            if kill_by_diag and d in kill_by_diag:
-                alpha[kill_by_diag[d]] = NEG_INF
-            lo, hi = self.fwd_diag_ptr[d], self.fwd_diag_ptr[d + 1]
-            if lo == hi:
-                continue
-            vals = alpha[self.src[lo:hi]] + w[lo:hi]
-            s_lo, s_hi = self.fwd_seg_ptr[d], self.fwd_seg_ptr[d + 1]
-            starts = self.fwd_seg_starts[s_lo:s_hi] - lo
-            seg = reduce(vals, starts)
-            dsts = self.fwd_seg_dst[s_lo:s_hi]
-            alpha[dsts] = combine(alpha[dsts], seg)
-        return alpha
+        n_states = len(self.runtime.states)
+        _, pair, i, j = _cell_table(self.nx, self.ny)
+        # Start nodes stay on diagonal 0.
+        group = np.zeros(self.n_nodes, dtype=np.int64)
+        nodes = (pair + 1 + np.arange(len(pair)) * n_states)[:, None] + np.arange(n_states)
+        group[nodes] = ((i + j) * self.n_pairs)[:, None]
+        group += np.repeat(np.arange(self.n_pairs), np.diff(self.node_offset))
+        # Rank by mass, largest first, equal masses equal; a stable sort by
+        # (group, rank) then keeps ties in node id order.
+        by_mass = np.argsort(-alpha)
+        ordered = alpha[by_mass]
+        mass_rank = np.empty(self.n_nodes, dtype=np.int64)
+        mass_rank[by_mass] = np.cumsum(np.concatenate(([0], ordered[1:] != ordered[:-1])))
+        order = np.argsort(group * self.n_nodes + mass_rank, kind="stable")
+        group = group[order]
+        # A node ranks width or later when the node width places before it
+        # in that order is of its group.
+        cut = np.zeros(self.n_nodes, dtype=bool)
+        cut[order[width:]] = group[width:] == group[:-width]
+        cut[self.acc0] = cut[self.acc1] = False
+        return cut
 
     def forward(self, w: np.ndarray, beam: Optional[int] = None) -> Tuple[np.ndarray, bool]:
         """Forward pass; returns (alpha, pruned_mass_flag).
 
-        With a finite beam, a ranking pass first computes exact forward
-        mass, then only the `width` highest-mass nodes per anti-diagonal
-        (per pair) survive a second pass.  The result is a lower bound on
-        alignment mass that never decreases as the beam widens.
+        With a finite beam, the exact sweep ranks the nodes, and a second
+        sweep runs with the outgoing weights of the nodes outside the beam
+        at -inf (see :meth:`_beam_cut`).  The result is a lower bound on
+        alignment mass that never decreases as the beam widens, and the
+        flag is set only when a node with finite mass was cut.
         """
+        if beam is not None and beam < 1:
+            raise ValueError("beam width must be >= 1 when finite")
         alpha = self._sweep_forward(w)
         if beam is None:
             return alpha, False
-        kill_by_diag, pruned = self._beam_kill_lists(alpha, beam)
-        if not pruned:
+        cut = self._beam_cut(alpha, beam)
+        if not np.isfinite(alpha[cut]).any():
             return alpha, False
-        return self._sweep_forward(w, kill_by_diag), True
+        alpha = self._sweep_forward(np.where(cut[self.src], NEG_INF, w))
+        alpha[cut] = NEG_INF
+        return alpha, True
 
     def backward(self, w: np.ndarray) -> np.ndarray:
         beta = np.full(self.n_nodes, NEG_INF)
-        beta[self.acc0.ravel()] = 0.0
-        beta[self.acc1.ravel()] = 0.0
-        for d in range(self.n_diags - 1, -1, -1):
-            lo, hi = self.bwd_diag_ptr[d], self.bwd_diag_ptr[d + 1]
-            if lo == hi:
-                continue
-            sel = self.bwd_perm[lo:hi]
-            vals = w[sel] + beta[self.dst[sel]]
-            s_lo, s_hi = self.bwd_seg_ptr[d], self.bwd_seg_ptr[d + 1]
-            starts = self.bwd_seg_starts[s_lo:s_hi] - lo
-            seg = _segment_logsumexp(vals, starts)
-            beta[self.bwd_seg_src[s_lo:s_hi]] = seg
-        return beta
+        beta[self.acc0] = beta[self.acc1] = 0.0
+        # Every source is written once, from -inf, so combining by max keeps
+        # the log-sum exactly, as logaddexp would, at less cost.
+        return _sweep(self._backward_steps, beta, w[self.bwd_perm], (_segment_logsumexp, np.maximum))
 
     # -- aggregates ---------------------------------------------------
 

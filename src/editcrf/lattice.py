@@ -35,17 +35,6 @@ class BeamConfig:
             raise ValueError("beam width must be >= 1 when finite")
 
 
-def _beam_width(beam) -> Optional[int]:
-    if beam is None:
-        return None
-    if isinstance(beam, BeamConfig):
-        return beam.width
-    width = int(beam)
-    if width < 1:
-        raise ValueError("beam width must be >= 1 when finite")
-    return width
-
-
 @dataclass(frozen=True)
 class Alignment:
     """A complete alignment: edits, landed positions, and visited states.
@@ -68,7 +57,7 @@ class Lattice:
         self.model = model
         self.x = x
         self.y = y
-        self.beam = _beam_width(beam)
+        self.beam = beam.width if isinstance(beam, BeamConfig) else beam
         self.batch = Batch(model, [(x, y)])
         self.w = self.batch.edge_weights(model.params)
         self.alpha, self.pruned = self.batch.forward(self.w, self.beam)

@@ -16,6 +16,7 @@ tying every (from, op, to) triple owns a group.  A feature id is a
 import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -63,6 +64,20 @@ class Group(NamedTuple):
     label: str
     op: str
     subset: int
+
+
+class TransitionTable(NamedTuple):
+    """The transitions as read-only index rows (from-state index or -1 for
+    q0, op index, to-state index, group, subset), with states indexed S0
+    first, then S1.  The rows of op k start at first[k]: n_from_states[k]
+    rows leaving a state of S0 or S1, then n_from_q0[k] rows leaving q0."""
+
+    states: Tuple[int, ...]
+    state_index: Mapping[int, int]
+    transitions: np.ndarray
+    n_from_states: np.ndarray
+    n_from_q0: np.ndarray
+    first: np.ndarray
 
 
 def build_default_topology(ops: Sequence[str], order: str = FIRST_ORDER) -> FsmTopology:
@@ -165,6 +180,37 @@ class FsmModel:
 
     def group_of_transition(self, frm: int, op: str, to: int) -> Optional[int]:
         return self._transition_group.get(Transition(frm, op, to))
+
+    @cached_property
+    def transition_table(self) -> TransitionTable:
+        states = tuple(self.topology.s0) + tuple(self.topology.s1)
+        state_index = {s: k for k, s in enumerate(states)}
+        op_index = {op: k for k, op in enumerate(self.ops)}
+        rows = np.array(
+            [
+                (
+                    -1 if t.frm == Q0 else state_index[t.frm],
+                    op_index[t.op],
+                    state_index[t.to],
+                    self._transition_group[t],
+                    self.topology.subset_of(t.to),
+                )
+                for t in self.topology.transitions
+            ],
+            dtype=np.int64,
+        ).reshape(-1, 5)
+        from_q0 = rows[:, 0] < 0
+        n_from_states = np.bincount(rows[~from_q0, 1], minlength=len(self.ops))
+        n_from_q0 = np.bincount(rows[from_q0, 1], minlength=len(self.ops))
+        arrays = (
+            rows[np.lexsort((from_q0, rows[:, 1]))],
+            n_from_states,
+            n_from_q0,
+            np.cumsum(n_from_states + n_from_q0) - n_from_states - n_from_q0,
+        )
+        for a in arrays:
+            a.setflags(write=False)
+        return TransitionTable(states, MappingProxyType(state_index), *arrays)
 
     @property
     def n_groups(self) -> int:

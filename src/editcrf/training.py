@@ -198,8 +198,23 @@ def _mstep_on_batch(batch, clamped: np.ndarray, params0: np.ndarray, config: Tra
     return _ascend(neg_q, params0, config)
 
 
+def _memo_last(f):
+    """f with a one-entry memo: a call at the point of the previous call
+    returns that call's result, so a point is evaluated once."""
+    last = {}
+
+    def g(p):
+        if "x" not in last or not np.array_equal(p, last["x"]):
+            last.update(x=np.array(p), value=f(p))
+        return last["value"]
+
+    return g
+
+
 def _ascend(neg_q, params0: np.ndarray, config: TrainConfig) -> np.ndarray:
     """L-BFGS on -Q from params0; returns params0 when Q would fall."""
+    # L-BFGS starts by evaluating params0 again.
+    neg_q = _memo_last(neg_q)
     q0 = -neg_q(params0)[0]
     result = minimize(
         neg_q,
@@ -300,15 +315,9 @@ def direct_train(model: FsmModel, corpus, config: TrainConfig) -> TrainState:
     lines: List[str] = []
     t0 = time.perf_counter()
 
-    last = {}
-
-    def evaluate(p):
-        # L-BFGS reports each iterate to the callback right after it was
-        # evaluated there, so the callback reuses that evaluation.
-        if "x" not in last or not np.array_equal(p, last["x"]):
-            loglik, grad, _ = _full_gradient(batch, labels, p, sigma2, config.beam)
-            last.update(x=np.array(p), loglik=loglik, grad=grad)
-        return last["loglik"], last["grad"]
+    # L-BFGS reports each iterate to the callback right after it was
+    # evaluated there, so the callback reuses that evaluation.
+    evaluate = _memo_last(lambda p: _full_gradient(batch, labels, p, sigma2, config.beam)[:2])
 
     def neg_l(p):
         loglik, grad = evaluate(p)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from editcrf import build_model, load_model, load_pairs, save_model, save_pairs, score_pairs, viterbi
 from editcrf.cli import main, render_alignment_grid
@@ -230,6 +231,22 @@ def test_score_narrow_beam_flags_failed_pairs(tmp_path):
         assert "\tNA\tNA" in text
     else:
         assert code == 0
+
+
+@pytest.mark.parametrize("width", [0, -2])
+def test_score_rejects_invalid_beam(tmp_path, capsys, width):
+    model_path, pairs_path, out = tmp_path / "m.json", tmp_path / "p.tsv", tmp_path / "s.tsv"
+    save_model(build_model(["insert", "delete", "substitute"]), model_path)
+    save_pairs([LabeledPair("a", "ab", "ba", 1), LabeledPair("b", "x", "y", 0)], pairs_path)
+    assert run(["score", "--model", model_path, "--pairs", pairs_path, "--beam", width, "--out", out]) == 2
+    assert not out.exists()
+    assert "beam width must be >= 1 when finite" in capsys.readouterr().err
+
+
+def test_score_pairs_rejects_invalid_beam():
+    model = build_model(["insert", "delete", "substitute"])
+    with pytest.raises(ValueError, match="beam width"):
+        score_pairs(model, [LabeledPair("a", "ab", "ba", 1)], beam=0)
 
 
 def test_score_marks_failed_pairs_na_in_one_batch(tmp_path, monkeypatch, capsys):

@@ -336,10 +336,20 @@ def test_batch_of_many_matches_per_pair(ids_model):
         w = batch.edge_weights(model.params)
         alpha, _ = batch.forward(w)
         lz0, lz1 = batch.log_partitions(alpha)
+        beta = batch.backward(w)
+        beams = {width: batch.log_partitions(batch.forward(w, beam=width)[0]) for width in (1, 2, 3)}
         for k, (x, y) in enumerate(pairs):
             lat = forward(model, x, y)
             assert constrained_log_partition(lat, 0) == lz0[k]
             assert constrained_log_partition(lat, 1) == lz1[k]
+            one = Batch(model, [(x, y)])
+            one_w = one.edge_weights(model.params)
+            own = slice(batch.node_offset[k], batch.node_offset[k + 1])
+            np.testing.assert_array_equal(beta[own], one.backward(one_w))
+            # A pair's beam result does not depend on the other pairs of its batch.
+            for width, (b0, b1) in beams.items():
+                o0, o1 = one.log_partitions(one.forward(one_w, beam=width)[0])
+                assert (b0[k], b1[k]) == (o0[0], o1[0]), (x, y, width)
 
 
 def test_every_signature_id_is_used():

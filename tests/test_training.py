@@ -294,6 +294,22 @@ def test_direct_train_evaluates_each_point_once(monkeypatch):
     assert calls[0] <= evals[0]
 
 
+def test_m_step_evaluates_its_start_point_once(monkeypatch):
+    model = build_model(OPS3).with_params(init_params(build_model(OPS3)))
+    corpus = small_mixed()
+    clamped = e_step(model, corpus).clamped_total
+    points = []
+
+    def recording_expectations(batch, params, *args, **kwargs):
+        points.append(np.array(params))
+        return expectations(batch, params, *args, **kwargs)
+
+    monkeypatch.setattr(training, "expectations", recording_expectations)
+    m_step(model, clamped, corpus, TrainConfig(mstep_max_iters=5))
+    assert len(points) > 1
+    assert sum(np.array_equal(p, model.params) for p in points) == 1
+
+
 def test_viterbi_mode_trains_and_improves():
     model = build_model(OPS3)
     corpus = toy_separable()
