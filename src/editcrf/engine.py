@@ -4,12 +4,16 @@ The lattice for a string pair has one node per (i, j, state) triple plus a
 start node for q0 at (0, 0).  Because every edit strictly increases i + j,
 nodes can be processed one anti-diagonal at a time, and a whole corpus of
 pairs can share a single sweep: edges of all pairs are merged and sorted by
-source anti-diagonal.
+anti-diagonal.
 
 Every pass runs through one sweep routine over per-diagonal steps of one
-direction: forward reads sources and writes destinations, in ascending
-diagonals (log-sum for alignment mass, max for best-path scores); backward
-reads destinations and writes sources, in descending diagonals.  A beam
+direction, and both directions pull: forward steps, in ascending
+destination diagonals, read sources and write destinations (log-sum for
+alignment mass, max for best-path scores); backward steps, in descending
+source diagonals, read destinations and write sources.  A step only reads
+nodes that earlier steps finished, and all the edges that write one node
+form one run of one step, so each node is written exactly once, by one
+segmented reduce whose per-edge run indices are compiled with the schedule.  A beam
 reruns the forward sweep with the cut nodes' outgoing potentials at -inf.
 
 A batch is compiled in one pass over all of its pairs.  Their strings are
@@ -34,7 +38,7 @@ be used from several threads at once.
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import sparse
@@ -44,6 +48,28 @@ from .errors import DegenerateInputError, NoPathError
 from .model import FsmModel
 
 NEG_INF = -np.inf
+
+
+def beam_width(beam: "Beam") -> Optional[int]:
+    """Width of a beam given as an int, a :class:`BeamConfig` or None
+    (exact inference), checked."""
+    width = beam.width if isinstance(beam, BeamConfig) else beam
+    if width is not None and width < 1:
+        raise ValueError("beam width must be >= 1 when finite")
+    return width
+
+
+@dataclass(frozen=True)
+class BeamConfig:
+    """Per-anti-diagonal pruning width; None means unlimited (exact)."""
+
+    width: Optional[int] = None
+
+    def __post_init__(self):
+        beam_width(self.width)
+
+
+Beam = Union[int, BeamConfig, None]
 
 
 def _ragged(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -258,37 +284,55 @@ class _Cells:
         return cells[:, 0], cells[:, 1]
 
 
-def _segment_logsumexp(vals: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Log-sum-exp over contiguous segments (max-shifted for stability)."""
+# The most negative finite float: a segment whose terms are all -inf is
+# shifted by it instead of by its max, so its exps are 0 and its log-sum
+# comes out -inf without a -inf - -inf.
+_FLOOR = np.finfo(np.float64).min
+
+
+def _segment_logsumexp(vals: np.ndarray, starts: np.ndarray, run: np.ndarray) -> np.ndarray:
+    """Log-sum-exp over the contiguous runs of vals that begin at starts,
+    with run the index of each value's run; vals is overwritten.  Each run
+    is shifted by its max for stability.  Call under errstate(divide="ignore"):
+    an all -inf run takes log(0)."""
     m = np.maximum.reduceat(vals, starts)
-    finite = np.isfinite(m)
-    safe = np.where(finite, m, 0.0)
-    lens = np.diff(np.append(starts, len(vals)))
-    shifted = np.exp(vals - np.repeat(safe, lens))
-    sums = np.add.reduceat(shifted, starts)
-    # Where the max is finite the sum is at least 1, so only there is a log taken.
-    out = np.log(sums, out=np.full(len(sums), NEG_INF), where=finite)
-    return np.add(safe, out, out=out, where=finite)
+    np.maximum(m, _FLOOR, out=m)
+    vals -= m.take(run)
+    np.exp(vals, out=vals)
+    sums = np.add.reduceat(vals, starts)
+    np.log(sums, out=sums)
+    sums += m
+    return sums
 
 
-_Step = Tuple[int, int, np.ndarray, np.ndarray, np.ndarray]
+def _segment_max(vals: np.ndarray, starts: np.ndarray, run: np.ndarray) -> np.ndarray:
+    """Max over the contiguous runs of vals that begin at starts."""
+    return np.maximum.reduceat(vals, starts)
+
+
+_Step = Tuple[int, int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def _steps(diag: np.ndarray, read: np.ndarray, write: np.ndarray) -> List[_Step]:
     """Per-diagonal steps of one sweep order, whose edges run by diagonal,
-    then by the node they write.  A step is a diagonal's edge range lo:hi,
-    the node each of those edges reads, the starts (relative to lo) of the
-    runs of edges that write one node, and the node each run writes."""
+    then by the node they write, so that each node is written by one run
+    of one step.  A step is a diagonal's edge range lo:hi, the node each of
+    those edges reads, the starts (relative to lo) of the runs of edges that
+    write one node, each edge's run index within the step, and the node
+    each run writes."""
     if not len(diag):
         return []
     new_diag = diag[1:] != diag[:-1]
-    seg = np.flatnonzero(np.concatenate(([True], new_diag | (write[1:] != write[:-1]))))
+    new_run = np.concatenate(([True], new_diag | (write[1:] != write[:-1])))
+    seg = np.flatnonzero(new_run)
     edge_ptr = np.flatnonzero(np.concatenate(([True], new_diag, [True])))
     seg_ptr = np.searchsorted(seg, edge_ptr)
     starts = seg - np.repeat(edge_ptr[:-1], np.diff(seg_ptr))
+    run = np.cumsum(new_run)
+    run -= np.repeat(seg_ptr[:-1] + 1, np.diff(edge_ptr))
     written = write[seg]
     bounds = zip(edge_ptr[:-1].tolist(), edge_ptr[1:].tolist(), seg_ptr[:-1].tolist(), seg_ptr[1:].tolist())
-    return [(lo, hi, read[lo:hi], starts[a:b], written[a:b]) for lo, hi, a, b in bounds]
+    return [(lo, hi, read[lo:hi], starts[a:b], run[lo:hi], written[a:b]) for lo, hi, a, b in bounds]
 
 
 def _signature_features(codes: np.ndarray, n_predicates: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -301,20 +345,22 @@ def _signature_features(codes: np.ndarray, n_predicates: int) -> Tuple[np.ndarra
     return rows, (codes[rows] >> n_predicates) * n_predicates + preds
 
 
-def _sweep(steps: List[_Step], values: np.ndarray, w: np.ndarray, semiring) -> np.ndarray:
+def _sweep(steps: List[_Step], values: np.ndarray, w: np.ndarray, reduce) -> np.ndarray:
     """Run the steps of one sweep order over node values in place, with w
-    the edge potentials in that order."""
-    reduce, combine = semiring
-    for lo, hi, read, starts, written in steps:
-        values[written] = combine(values[written], reduce(values[read] + w[lo:hi], starts))
+    the edge potentials in that order.  Every step reads nodes that earlier
+    steps finished and writes each of its nodes once, with the segmented
+    reduce of the semiring: log-sum for alignment mass, max for best-path
+    scores, which max leaves exactly equal to the best alpha[src] + w."""
+    with np.errstate(divide="ignore"):
+        for lo, hi, read, starts, run, written in steps:
+            vals = values[read]
+            vals += w[lo:hi]
+            values[written] = reduce(vals, starts, run)
     return values
 
 
-# Semirings of the forward sweep as (segmented reduce, elementwise combine):
-# log-sum for alignment mass, max for best-path scores, which max leaves
-# exactly equal to the best alpha[src] + w.
-LOG_SUM = (_segment_logsumexp, np.logaddexp)
-MAX = (np.maximum.reduceat, np.maximum)
+LOG_SUM = _segment_logsumexp
+MAX = _segment_max
 
 
 class Batch:
@@ -357,21 +403,26 @@ class Batch:
         frm, op_idx, to, group, subset = rt.transitions.T
         src = base[cell] + frm[trans]
         dst = base[land] + to[trans]
-        src_diag = diag[cell]
+        # dst_diag lives until the forward steps are built, so it is kept
+        # narrow; keys built from it are int64.
+        src_diag, dst_diag = diag[cell], diag[land].astype(np.int32)
         del land
-        # Backward order is (diagonal, source, operation, destination), one
-        # unique key below diagonals * n_nodes * n_ops * n_states; forward
-        # order (diagonal, destination, source, operation) is a stable sort
-        # of it by (diagonal, destination).
+        # Backward order is (source diagonal, source, operation,
+        # destination), one unique key below diagonals * n_nodes * n_ops *
+        # n_states; forward order (destination diagonal, destination,
+        # source diagonal, source, operation) is a stable sort of it by
+        # (destination diagonal, destination), so that a node's in-edges
+        # are one run.
         by_src = np.argsort(
             ((src_diag * self.n_nodes + src) * len(model.ops) + op_idx[trans]) * n_states + to[trans]
         )
-        by_dst = np.argsort((src_diag * self.n_nodes + dst)[by_src], kind="stable")
+        by_dst = np.argsort((np.multiply(dst_diag, self.n_nodes, dtype=np.int64) + dst)[by_src], kind="stable")
         order = by_src[by_dst]
         del by_src
         self.src = src[order]
         self.dst = dst[order]
         self.src_diag = src_diag[order].astype(np.int32)
+        dst_diag = dst_diag[order]
         del src, dst, src_diag
         trans, cell = trans[order], cell[order]
         del order
@@ -393,7 +444,7 @@ class Batch:
         self.n_edges = len(self.src)
         self.bwd_perm = np.empty_like(by_dst)
         self.bwd_perm[by_dst] = np.arange(self.n_edges)
-        self._forward_steps = _steps(self.src_diag, self.src, self.dst)
+        self._forward_steps = _steps(dst_diag, self.src, self.dst)
         final = self.node_offset[1:] - n_states
         n_s0 = len(model.topology.s0)
         self.acc0 = final[:, None] + np.arange(n_s0)
@@ -410,9 +461,8 @@ class Batch:
 
     @cached_property
     def _backward_steps(self) -> List[_Step]:
-        # Backward order is a permutation within each source diagonal, so
-        # it has the same diagonal sequence as forward order.
-        return _steps(self.src_diag, self.dst[self.bwd_perm], self.src[self.bwd_perm])[::-1]
+        perm = self.bwd_perm
+        return _steps(self.src_diag[perm], self.dst[perm], self.src[perm])[::-1]
 
     def _sweep_forward(self, w: np.ndarray, semiring=LOG_SUM) -> np.ndarray:
         alpha = np.full(self.n_nodes, NEG_INF)
@@ -452,7 +502,7 @@ class Batch:
         cut[self.acc0] = cut[self.acc1] = False
         return cut
 
-    def forward(self, w: np.ndarray, beam: Optional[int] = None) -> Tuple[np.ndarray, bool]:
+    def forward(self, w: np.ndarray, beam: Beam = None) -> Tuple[np.ndarray, bool]:
         """Forward pass; returns (alpha, pruned_mass_flag).
 
         With a finite beam, the exact sweep ranks the nodes, and a second
@@ -461,8 +511,7 @@ class Batch:
         alignment mass that never decreases as the beam widens, and the
         flag is set only when a node with finite mass was cut.
         """
-        if beam is not None and beam < 1:
-            raise ValueError("beam width must be >= 1 when finite")
+        beam = beam_width(beam)
         alpha = self._sweep_forward(w)
         if beam is None:
             return alpha, False
@@ -476,17 +525,17 @@ class Batch:
     def backward(self, w: np.ndarray) -> np.ndarray:
         beta = np.full(self.n_nodes, NEG_INF)
         beta[self.acc0] = beta[self.acc1] = 0.0
-        # Every source is written once, from -inf, so combining by max keeps
-        # the log-sum exactly, as logaddexp would, at less cost.
-        return _sweep(self._backward_steps, beta, w[self.bwd_perm], (_segment_logsumexp, np.maximum))
+        return _sweep(self._backward_steps, beta, w[self.bwd_perm], LOG_SUM)
 
     # -- aggregates ---------------------------------------------------
 
     def log_partitions(self, alpha: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        lz0, lz1 = (
-            _segment_logsumexp(alpha[acc].ravel(), np.arange(0, acc.size, acc.shape[1]))
-            for acc in (self.acc0, self.acc1)
-        )
+        rows = np.arange(self.n_pairs)
+        with np.errstate(divide="ignore"):
+            lz0, lz1 = (
+                _segment_logsumexp(alpha[acc].ravel(), rows * acc.shape[1], rows.repeat(acc.shape[1]))
+                for acc in (self.acc0, self.acc1)
+            )
         return lz0, lz1
 
     def posterior_counts(
@@ -544,7 +593,7 @@ def expectations(
     batch: Batch,
     params: np.ndarray,
     labels: Optional[np.ndarray] = None,
-    beam: Optional[int] = None,
+    beam: Beam = None,
     want_counts: bool = True,
     per_pair: bool = False,
 ) -> Expectations:

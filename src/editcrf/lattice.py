@@ -16,23 +16,12 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import edits
-from .engine import MAX, Batch, expectations
+from .engine import MAX, Batch, BeamConfig, expectations
 from .errors import DegenerateInputError, NoPathError
 from .features import extract
 from .model import Q0, FsmModel
 
 Constraint = Union[str, int]
-
-
-@dataclass(frozen=True)
-class BeamConfig:
-    """Per-anti-diagonal pruning width; None means unlimited (exact)."""
-
-    width: Optional[int] = None
-
-    def __post_init__(self):
-        if self.width is not None and self.width < 1:
-            raise ValueError("beam width must be >= 1 when finite")
 
 
 @dataclass(frozen=True)
@@ -57,7 +46,7 @@ class Lattice:
         self.model = model
         self.x = x
         self.y = y
-        self.beam = beam.width if isinstance(beam, BeamConfig) else beam
+        self.beam = beam
         self.batch = Batch(model, [(x, y)])
         self.w = self.batch.edge_weights(model.params)
         self.alpha, self.pruned = self.batch.forward(self.w, self.beam)

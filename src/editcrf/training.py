@@ -24,7 +24,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import edits
-from .engine import Batch, expectations
+from .engine import Batch, Beam, Expectations, beam_width, expectations
 from .errors import NumericalError
 from .lattice import _BestPaths
 from .model import FsmModel
@@ -82,7 +82,7 @@ class TrainConfig:
     mstep_max_iters: int = 50
     mstep_grad_tol: float = 1e-4
     init: Optional[InitScheme] = None
-    beam: Optional[int] = None
+    beam: Beam = None
     seed: int = 0
 
     def __post_init__(self):
@@ -92,8 +92,7 @@ class TrainConfig:
             raise ValueError("tolerances must be > 0")
         if self.em_max_iters < 0 or self.mstep_max_iters < 0:
             raise ValueError("iteration caps must be >= 0")
-        if self.beam is not None and self.beam < 1:
-            raise ValueError("beam width must be >= 1 when finite")
+        beam_width(self.beam)
 
 
 @dataclass(frozen=True)
@@ -182,11 +181,14 @@ def e_step(model: FsmModel, corpus, keep_per_pair: bool = True) -> EStepResult:
     )
 
 
-def _mstep_on_batch(batch, clamped: np.ndarray, params0: np.ndarray, config: TrainConfig) -> np.ndarray:
+def _mstep_on_batch(
+    batch, clamped: np.ndarray, params0: np.ndarray, config: TrainConfig, start: Optional[Expectations] = None
+) -> np.ndarray:
+    """M-step from params0; start, when given, holds log Z and unconstrained
+    counts at params0, which the E-step has already computed."""
     sigma2 = config.sigma2
 
-    def neg_q(params):
-        exp = expectations(batch, params, beam=config.beam)
+    def objective(params, exp):
         q = float(clamped @ params - np.sum(exp.logz) - np.sum(np.square(params)) / sigma2)
         grad = clamped - exp.counts_all - 2.0 * params / sigma2
         if not np.isfinite(q) or not np.all(np.isfinite(grad)):
@@ -195,13 +197,17 @@ def _mstep_on_batch(batch, clamped: np.ndarray, params0: np.ndarray, config: Tra
             raise NumericalError(f"non-finite M-step objective or gradient at {where}")
         return -q, -grad
 
-    return _ascend(neg_q, params0, config)
+    def neg_q(params):
+        return objective(params, expectations(batch, params, beam=config.beam))
+
+    return _ascend(neg_q, params0, config, None if start is None else objective(params0, start))
 
 
-def _memo_last(f):
+def _memo_last(f, seed=None):
     """f with a one-entry memo: a call at the point of the previous call
-    returns that call's result, so a point is evaluated once."""
-    last = {}
+    returns that call's result, so a point is evaluated once.  A seed
+    (point, value) fills the memo before the first call."""
+    last = {} if seed is None else dict(x=np.array(seed[0]), value=seed[1])
 
     def g(p):
         if "x" not in last or not np.array_equal(p, last["x"]):
@@ -211,10 +217,11 @@ def _memo_last(f):
     return g
 
 
-def _ascend(neg_q, params0: np.ndarray, config: TrainConfig) -> np.ndarray:
-    """L-BFGS on -Q from params0; returns params0 when Q would fall."""
+def _ascend(neg_q, params0: np.ndarray, config: TrainConfig, start=None) -> np.ndarray:
+    """L-BFGS on -Q from params0; returns params0 when Q would fall.  start,
+    when given, is neg_q(params0)."""
     # L-BFGS starts by evaluating params0 again.
-    neg_q = _memo_last(neg_q)
+    neg_q = _memo_last(neg_q, None if start is None else (params0, start))
     q0 = -neg_q(params0)[0]
     result = minimize(
         neg_q,
@@ -269,27 +276,27 @@ def em_train(model: FsmModel, corpus, config: TrainConfig, inference: str = "fb"
         e_terms, ascend = _hard_em(batch, labels, config)
     else:
         def e_terms(p):
-            loglik, grad, exp = _full_gradient(batch, labels, p, config.sigma2, config.beam)
-            return loglik, grad, exp.counts_clamped
+            return _full_gradient(batch, labels, p, config.sigma2, config.beam)
 
-        def ascend(clamped, p):
-            return _mstep_on_batch(batch, clamped, p, config)
+        def ascend(exp, p):
+            # The E-step's pass at p is also the M-step's start point.
+            return _mstep_on_batch(batch, exp.counts_clamped, p, config, start=exp)
 
     history: List[Tuple[int, float]] = []
     lines: List[str] = []
     t0 = time.perf_counter()
-    loglik, grad, clamped = e_terms(params)
+    loglik, grad, estep = e_terms(params)
     history.append((0, loglik))
     lines.append(_log_line(0, loglik, grad, t0))
     for it in range(1, config.em_max_iters + 1):
         try:
-            new_params = ascend(clamped, params)
+            new_params = ascend(estep, params)
         except NumericalError as exc:
             logger.warning("M-step failed at iteration %d: %s; keeping last state", it, exc)
             break
         params = new_params
         prev = loglik
-        loglik, grad, clamped = e_terms(params)
+        loglik, grad, estep = e_terms(params)
         history.append((it, loglik))
         lines.append(_log_line(it, loglik, grad, t0))
         if loglik - prev < config.em_tol * abs(prev) and loglik >= prev - 1e-9:

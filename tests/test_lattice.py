@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from editcrf import (
@@ -20,7 +22,7 @@ from editcrf import (
     viterbi,
 )
 from editcrf import edits
-from editcrf.engine import Batch, _Cells
+from editcrf.engine import MAX, Batch, _Cells
 from editcrf.errors import DegenerateInputError, NoPathError
 from editcrf.features import LexiconSet, eval_predicate
 from editcrf.lattice import _BestPaths, alignment_feature_counts
@@ -424,3 +426,99 @@ def test_second_order_matches_oracle():
         assert log_partition(lat) == pytest.approx(terms.log_z(model.params), rel=1e-9)
         got = expected_feature_counts(model, "ab", "b", "all")
         np.testing.assert_allclose(got, terms.expected_counts(model.params), atol=1e-9)
+
+
+def _node_diagonals(batch):
+    """Anti-diagonal i + j of every node of a batch; 0 for start nodes."""
+    node = np.arange(batch.n_nodes)
+    pair = np.searchsorted(batch.node_offset, node, "right") - 1
+    cell = np.maximum(node - batch.node_offset[pair] - 1, 0) // len(batch.runtime.states)
+    i, j = np.divmod(cell, batch.ny[pair] + 1)
+    return i + j
+
+
+@pytest.mark.parametrize("order", ["first-order", "second-order"])
+def test_sweep_steps_write_each_node_once(order):
+    """Forward steps read only nodes of earlier diagonals than the ones
+    they write, backward steps only of later ones, and in both directions
+    every node is written by at most one run of one step."""
+    lexicon = LexiconSet("words", frozenset({"the", "of", "corp.", "acm", "lab"}))
+    model = build_model(edits.registry(), order, lexicons={"words": lexicon})
+    batch = Batch(model, WORDY_PAIRS + [("ab", "ba"), ("abc", "")])
+    diag = _node_diagonals(batch)
+    for steps, later in ((batch._forward_steps, False), (batch._backward_steps, True)):
+        written = []
+        for lo, hi, read, starts, run, nodes in steps:
+            assert len(read) == len(run) == hi - lo
+            np.testing.assert_array_equal(run[starts], np.arange(len(starts)))
+            assert np.all(np.diff(run) >= 0)
+            assert len(np.unique(nodes)) == len(nodes)
+            if later:
+                assert diag[read].min() > diag[nodes].max()
+            else:
+                assert diag[read].max() < diag[nodes].min()
+            written.append(nodes)
+        written = np.concatenate(written)
+        assert len(np.unique(written)) == len(written)
+
+
+def _reference_sweeps(batch, w):
+    """Alpha, beta and max-sweep scores by a plain recursion: nodes in
+    anti-diagonal order, each one's edges gathered by a loop over edges."""
+    src, dst, w = batch.src.tolist(), batch.dst.tolist(), w.tolist()
+    into = [[] for _ in range(batch.n_nodes)]
+    out_of = [[] for _ in range(batch.n_nodes)]
+    for k in range(batch.n_edges):
+        into[dst[k]].append(k)
+        out_of[src[k]].append(k)
+    order = np.argsort(_node_diagonals(batch), kind="stable").tolist()
+    alpha = np.full(batch.n_nodes, -np.inf)
+    alpha[batch.start_ids] = 0.0
+    best = alpha.copy()
+    for n in order:
+        if into[n]:
+            alpha[n] = np.logaddexp.reduce([alpha[src[k]] + w[k] for k in into[n]])
+            best[n] = max(best[src[k]] + w[k] for k in into[n])
+    beta = np.full(batch.n_nodes, -np.inf)
+    beta[batch.acc0] = beta[batch.acc1] = 0.0
+    for n in reversed(order):
+        if out_of[n]:
+            beta[n] = np.logaddexp.reduce([w[k] + beta[dst[k]] for k in out_of[n]])
+    return alpha, beta, best
+
+
+_PROPERTY_MODELS = {
+    order: build_model(["insert", "delete", "substitute", "swap-two-characters"] + SKIP_PRESENT, order)
+    for order in ("first-order", "second-order")
+}
+
+
+def _assert_close_log(got, want):
+    """Equal -inf patterns; finite values agree to rel 1e-12, or abs 1e-12 near 0."""
+    np.testing.assert_array_equal(np.isneginf(got), np.isneginf(want))
+    finite = np.isfinite(want)
+    np.testing.assert_allclose(got[finite], want[finite], rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@example(x="Ab ab-ba " * 4 + "abAB", y="ba aB-ab " * 4 + "BAba", order="first-order", seed=7)
+@example(x="Ab ab-ba " * 4 + "abAB", y="ba aB-ab " * 4 + "BAba", order="second-order", seed=8)
+@given(
+    x=st.text(alphabet="abAB -", max_size=40),
+    y=st.text(alphabet="abAB -", max_size=40),
+    order=st.sampled_from(sorted(_PROPERTY_MODELS)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sweeps_match_reference_recursion(x, y, order, seed):
+    """Lattices beyond the reach of the brute-force oracle, with weights in
+    [-50, 50], against the per-edge recursion."""
+    if not x and not y:
+        x = "a"
+    model0 = _PROPERTY_MODELS[order]
+    model = model0.with_params(np.random.default_rng(seed).uniform(-50, 50, model0.n_features))
+    batch = Batch(model, [(x, y)])
+    w = batch.edge_weights(model.params)
+    alpha, beta, best = _reference_sweeps(batch, w)
+    _assert_close_log(batch.forward(w)[0], alpha)
+    _assert_close_log(batch.backward(w), beta)
+    np.testing.assert_array_equal(batch._sweep_forward(w, semiring=MAX), best)

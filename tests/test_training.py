@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from editcrf import (
+    BeamConfig,
     InitScheme,
     LabeledPair,
     TrainConfig,
@@ -308,6 +310,56 @@ def test_m_step_evaluates_its_start_point_once(monkeypatch):
     m_step(model, clamped, corpus, TrainConfig(mstep_max_iters=5))
     assert len(points) > 1
     assert sum(np.array_equal(p, model.params) for p in points) == 1
+
+
+def test_soft_em_m_step_starts_from_the_e_step_pass(monkeypatch):
+    """Each soft-EM iteration runs one E-step pass and one pass per L-BFGS
+    evaluation except the first, at the point the E-step has just done."""
+    passes, nfev = [], []
+
+    def counting_expectations(*args, **kwargs):
+        passes.append("e" if kwargs.get("labels") is not None else "m")
+        return expectations(*args, **kwargs)
+
+    def counting_minimize(*args, **kwargs):
+        result = minimize(*args, **kwargs)
+        nfev.append(result.nfev)
+        return result
+
+    monkeypatch.setattr(training, "expectations", counting_expectations)
+    monkeypatch.setattr(training, "minimize", counting_minimize)
+    state = em_train(build_model(OPS3), small_mixed(), TrainConfig(em_max_iters=3, mstep_max_iters=5))
+    iters = len(state.history) - 1
+    assert iters >= 2 and len(nfev) == iters
+    assert passes.count("e") == iters + 1
+    assert passes.count("m") == sum(nfev) - iters
+
+
+def test_soft_em_start_point_reuse_changes_nothing(monkeypatch):
+    model, corpus, config = build_model(OPS3), small_mixed(), TrainConfig(em_max_iters=3, mstep_max_iters=5)
+    reused = em_train(model, corpus, config)
+    mstep = training._mstep_on_batch
+    monkeypatch.setattr(
+        training, "_mstep_on_batch", lambda batch, clamped, p, config, start=None: mstep(batch, clamped, p, config)
+    )
+    fresh = em_train(model, corpus, config)
+    np.testing.assert_array_equal(reused.params, fresh.params)
+    assert reused.history == fresh.history
+
+
+def test_beam_config_equals_its_width():
+    model = build_model(OPS3)
+    trained = model.with_params(init_params(model))
+    scores = score_pairs(trained, small_mixed(), beam=2)
+    assert scores != score_pairs(trained, small_mixed())
+    assert score_pairs(trained, small_mixed(), beam=BeamConfig(2)) == scores
+    # One-character pairs keep paths in both subsets under any beam.
+    corpus = [LabeledPair(f"{a}{b}", a, b, int(a == b)) for a in "ab" for b in "ab"]
+    config = dict(em_max_iters=2, mstep_max_iters=5)
+    by_config = em_train(model, corpus, TrainConfig(beam=BeamConfig(2), **config))
+    by_width = em_train(model, corpus, TrainConfig(beam=2, **config))
+    np.testing.assert_array_equal(by_config.params, by_width.params)
+    assert by_config.history == by_width.history
 
 
 def test_viterbi_mode_trains_and_improves():
