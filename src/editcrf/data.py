@@ -6,10 +6,11 @@ sampled from cross-entity pairs preferring near misses under a cheap
 similarity filter.  Everything is deterministic under its seed.
 """
 
-import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .errors import DataFormatError
 
@@ -165,8 +166,17 @@ def save_pairs(pairs: Sequence[LabeledPair], destination) -> None:
             fh.write(payload)
 
 
-def _pair_from_records(a: Record, b: Record) -> LabeledPair:
-    first, second = sorted((a, b), key=lambda r: r.record_id)
+# Candidates per batched lattice pass of the handset-crf-top filter; a
+# batch of 512 name pairs takes a few tens of MB.
+_HANDSET_CHUNK = 512
+
+# (records sorted by id, ia, ib) -> float64 score of each candidate
+# (records[ia[k]], records[ib[k]]).
+Scorer = Callable[[Sequence[Record], np.ndarray, np.ndarray], np.ndarray]
+
+
+def _pair(first: Record, second: Record) -> LabeledPair:
+    """The pair of two records, first's id ordered before second's."""
     return LabeledPair(
         pair_id=f"{first.record_id}|{second.record_id}",
         x=first.text,
@@ -177,21 +187,51 @@ def _pair_from_records(a: Record, b: Record) -> LabeledPair:
     )
 
 
-def _negative_scorer(filter_name: str):
+def _negative_scorer(filter_name: str) -> Scorer:
     from . import metrics
 
     if filter_name == "jaro-top":
-        return lambda p: metrics.jaro(p.x, p.y)
+        return lambda ordered, ia, ib: metrics.jaro_many([r.text for r in ordered], ia, ib)
     if filter_name == "cosine-top":
-        return lambda p: metrics.cosine_tokens(p.x, p.y)
+        return lambda ordered, ia, ib: np.array(
+            [metrics.cosine_tokens(ordered[a].text, ordered[b].text)
+             for a, b in zip(ia.tolist(), ib.tolist())],
+            dtype=np.float64,
+        )
     # Hand-set model scores; imported lazily to keep data loading light.
-    from .lattice import posterior_match
+    from .evaluation import score_pairs
     from .model import build_model
     from .training import init_params
 
     model = build_model(["insert", "delete", "substitute"], "first-order")
     model = model.with_params(init_params(model))
-    return lambda p: posterior_match(model, p.x, p.y)
+
+    def handset(ordered, ia, ib):
+        out = np.empty(len(ia))
+        for s in range(0, len(ia), _HANDSET_CHUNK):
+            chunk = [_pair(ordered[a], ordered[b])
+                     for a, b in zip(ia[s : s + _HANDSET_CHUNK].tolist(),
+                                     ib[s : s + _HANDSET_CHUNK].tolist())]
+            out[s : s + len(chunk)] = [p for _, p, _ in score_pairs(model, chunk)]
+        return out
+
+    return handset
+
+
+def _top(scores: np.ndarray, wanted: int, pair_id: Callable[[int], str]) -> List[int]:
+    """Indexes of the wanted highest scores, ordered by (-score, pair id,
+    index) as a stable sort of all candidates would order them.
+
+    Only the candidates at the cut-off score need their pair ids to
+    decide which of them are kept.
+    """
+    if wanted == 0:
+        return []
+    cut = np.partition(scores, len(scores) - wanted)[len(scores) - wanted]
+    above = np.flatnonzero(scores > cut).tolist()
+    at = sorted(np.flatnonzero(scores == cut).tolist(), key=pair_id)
+    value = scores.tolist()
+    return sorted(above + at[: wanted - len(above)], key=lambda k: (-value[k], pair_id(k), k))
 
 
 def generate_pairs(records: Sequence[Record], sampling: SamplingConfig) -> List[LabeledPair]:
@@ -200,23 +240,35 @@ def generate_pairs(records: Sequence[Record], sampling: SamplingConfig) -> List[
     Negatives are the highest-scoring cross-entity pairs under the
     configured filter, ties broken by pair id; when fewer candidates
     exist than requested, all are taken.  The result is independent of
-    the input record order.
+    the input record order and of ``sampling.seed``.  Candidates are index
+    pairs into the records sorted by id, in ``itertools.combinations``
+    order; the filter scores them all in one array pass, and only the
+    pairs returned become ``LabeledPair`` objects.
     """
     if len(records) < 2:
         raise ValueError("need at least 2 records to generate pairs")
     ordered = sorted(records, key=lambda r: r.record_id)
-    positives: List[LabeledPair] = []
-    candidates: List[LabeledPair] = []
-    for a, b in itertools.combinations(ordered, 2):
-        pair = _pair_from_records(a, b)
-        (positives if pair.z == 1 else candidates).append(pair)
+    entity_ids = {}
+    entity = np.array([entity_ids.setdefault(r.entity_id, len(entity_ids)) for r in ordered])
+    ia, ib = np.triu_indices(len(ordered), 1)
+    same = entity[ia] == entity[ib]
+    positives = [_pair(ordered[a], ordered[b]) for a, b in zip(ia[same].tolist(), ib[same].tolist())]
+    ia, ib = ia[~same], ib[~same]
     wanted = sampling.ratio * len(positives)
-    if wanted >= len(candidates):
-        negatives = sorted(candidates, key=lambda p: p.pair_id)
+    if wanted >= len(ia):
+        negatives = sorted(
+            (_pair(ordered[a], ordered[b]) for a, b in zip(ia.tolist(), ib.tolist())),
+            key=lambda p: p.pair_id,
+        )
     else:
-        score = _negative_scorer(sampling.filter)
-        scored = sorted(candidates, key=lambda p: (-score(p), p.pair_id))
-        negatives = scored[:wanted]
+        scores = _negative_scorer(sampling.filter)(ordered, ia, ib)
+        ids, first, second = [r.record_id for r in ordered], ia.tolist(), ib.tolist()
+
+        def pair_id(k):
+            return f"{ids[first[k]]}|{ids[second[k]]}"
+
+        kept = _top(scores, wanted, pair_id)
+        negatives = [_pair(ordered[first[k]], ordered[second[k]]) for k in kept]
     return positives + negatives
 
 

@@ -2,16 +2,29 @@
 
 import math
 from collections import Counter
+from typing import Sequence
+
+import numpy as np
 
 from .edits import tokens
 
+# Candidates that jaro_many scores in one array pass.  A block's working
+# arrays take about 10 * _BLOCK * L bytes for strings of up to L
+# characters.  Larger blocks were no faster on name records and raised
+# the peak memory of pair generation.
+_BLOCK = 1024
+
 
 def jaro(x: str, y: str) -> float:
-    """Jaro similarity in [0, 1].
+    """Jaro similarity in [0, 1] (Jaro 1989), one pair at a time.
 
     Matching window is floor(max(|x|, |y|) / 2) - 1; the score averages
     m/|x|, m/|y|, and (m - t)/m where t counts half-transpositions.
     Two empty strings score 1 by convention; no matches scores 0.
+
+    This is the reference implementation: :func:`jaro_many`, which pair
+    generation uses, must equal it bit for bit, and the tests compare the
+    two.
     """
     if x == y:
         return 1.0
@@ -37,6 +50,73 @@ def jaro(x: str, y: str) -> float:
     t = half_transpositions / 2.0
     m = float(matches)
     return (m / len(x) + m / len(y) + (m - t) / m) / 3.0
+
+
+def _codes(texts: Sequence[str], lengths: np.ndarray) -> np.ndarray:
+    """One row of int32 code points per text, right-padded with -1."""
+    flat = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    codes = np.full((len(texts), int(lengths.max(initial=0))), -1, dtype=np.int32)
+    rows = np.repeat(np.arange(len(texts)), lengths)
+    codes[rows, np.arange(len(flat)) - np.repeat(np.cumsum(lengths) - lengths, lengths)] = flat
+    return codes
+
+
+def jaro_many(texts: Sequence[str], ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+    """``jaro(texts[ia[k]], texts[ib[k]])`` for every k, bit for bit.
+
+    Each text is encoded once; candidates are then scored in blocks of
+    ``_BLOCK``.  Per block, one loop over x positions takes, with arrays
+    over pairs, the first unused equal y character inside the window, as
+    :func:`jaro` does, and the score uses the same operations in the same
+    order.
+    """
+    ia, ib = np.asarray(ia, dtype=np.int64), np.asarray(ib, dtype=np.int64)
+    lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+    x_codes = _codes(texts, lengths)
+    # A different pad on the y side, so padding never matches padding.
+    y_codes = np.where(x_codes < 0, -2, x_codes)
+    index = {}
+    text_id = np.array([index.setdefault(t, len(index)) for t in texts], dtype=np.int64)
+    out = np.empty(len(ia))
+    # Blocks of similar lengths pad little.
+    order = np.lexsort((lengths[ib], lengths[ia]))
+    for s in range(0, len(ia), _BLOCK):
+        block = order[s : s + _BLOCK]
+        a, b = ia[block], ib[block]
+        out[block] = _jaro_block(x_codes[a], y_codes[b], lengths[a], lengths[b])
+    out[text_id[ia] == text_id[ib]] = 1.0
+    return out
+
+
+def _jaro_block(x: np.ndarray, y: np.ndarray, lx: np.ndarray, ly: np.ndarray) -> np.ndarray:
+    """Jaro of each row pair of padded code arrays; equal texts excluded."""
+    n = len(lx)
+    nx, ny = int(lx.max(initial=0)), int(ly.max(initial=0))
+    if nx == 0 or ny == 0:
+        return np.zeros(n)
+    x, y = x[:, :nx], y[:, :ny]
+    window = (np.maximum(lx, ly) // 2 - 1)[:, None]
+    cols, rows = np.arange(ny), np.arange(n)
+    free = np.ones((n, ny), dtype=bool)
+    x_hit = np.zeros((n, nx), dtype=bool)
+    for i in range(nx):
+        c = (y == x[:, i, None]) & (np.abs(cols - i) <= window) & free
+        j = c.argmax(axis=1)
+        hit = c[rows, j]
+        free[rows, j] &= ~hit
+        x_hit[:, i] = hit
+    matches = x_hit.sum(axis=1)
+    # Row-major order lists each pair's matched characters in string
+    # order, and both sides of pair p hold matches[p] of them, so the k-th
+    # of x meets the k-th of y.
+    mismatched = x[x_hit] != y[~free]
+    half = np.bincount(np.repeat(rows, matches)[mismatched], minlength=n)
+    t = half / 2.0
+    m = matches.astype(np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        score = (m / lx + m / ly + (m - t) / m) / 3.0
+    score[matches == 0] = 0.0
+    return score
 
 
 def cosine_tokens(x: str, y: str) -> float:

@@ -11,10 +11,15 @@ from typing import List, Tuple
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy.special import logsumexp
 
 from editcrf import build_model, enumerate_alignments
 from editcrf.lattice import alignment_feature_counts
+
+# CI selects this profile (--hypothesis-profile=ci) so that every property
+# test draws the same examples on every run; local runs keep random search.
+settings.register_profile("ci", derandomize=True)
 
 
 @dataclass

@@ -1,5 +1,8 @@
+import functools
 import io
+import itertools
 
+import numpy as np
 import pytest
 
 from editcrf import (
@@ -7,6 +10,8 @@ from editcrf import (
     NoiseConfig,
     Record,
     SamplingConfig,
+    build_model,
+    cosine_tokens,
     generate_pairs,
     jaro,
     load_pairs,
@@ -17,7 +22,8 @@ from editcrf import (
     split_pairs,
     synthesize_names,
 )
-from editcrf.errors import DataFormatError
+from editcrf import data, metrics, posterior_match, training
+from editcrf.errors import DataFormatError, NoPathError
 
 
 def records_tsv(rows):
@@ -277,3 +283,82 @@ def test_handset_filter_runs():
     assert len(negatives) == 1
     # the hand-set model prefers the near miss "ab"/"ac" over "zz"
     assert {negatives[0].x, negatives[0].y} == {"ab", "ac"}
+
+
+def _reference_generate_pairs(records, ratio, score):
+    """generate_pairs as one score call and one sort key per candidate."""
+    ordered = sorted(records, key=lambda r: r.record_id)
+    positives, candidates = [], []
+    for a, b in itertools.combinations(ordered, 2):
+        pair = LabeledPair(
+            pair_id=f"{a.record_id}|{b.record_id}",
+            x=a.text,
+            y=b.text,
+            z=int(a.entity_id == b.entity_id),
+            entity_x=a.entity_id,
+            entity_y=b.entity_id,
+        )
+        (positives if pair.z == 1 else candidates).append(pair)
+    wanted = ratio * len(positives)
+    if wanted >= len(candidates):
+        return positives + sorted(candidates, key=lambda p: p.pair_id)
+    scored = sorted(candidates, key=lambda p: (-score(p.x, p.y), p.pair_id))
+    return positives + scored[:wanted]
+
+
+def _handset_score():
+    model = build_model(["insert", "delete", "substitute"], "first-order")
+    model = model.with_params(training.init_params(model))
+    return lambda x, y: posterior_match(model, x, y)
+
+
+# One positive, so the number of negatives kept equals the ratio.  Texts
+# repeated across entities tie at the cut-off; ids such as "a", "a-b" and
+# "ab" sort as records in that order, but "a-b|ab" < "a|a-b" < "a|ab" as
+# pair ids, since "-" < "|" < "b".
+TIED_RECORDS = [
+    Record("a", "e1", "jon smith"),
+    Record("a-b", "e2", "jon smith"),
+    Record("ab", "e3", "jon smith"),
+    Record("a|c", "e1", "john smith"),
+    Record("b", "e4", "jon smyth"),
+    Record("b-0", "e5", "jane smith"),
+    Record("b0", "e6", "jane smith"),
+    Record("c", "e7", "smith jon"),
+    Record("c-1", "e8", "smith jon"),
+    Record("d", "e9", "ab"),
+    Record("d-d", "e10", "ba"),
+    Record("e", "e11", "ab"),
+]
+
+REFERENCE_SCORES = {
+    "jaro-top": lambda: jaro,
+    "cosine-top": lambda: cosine_tokens,
+    "handset-crf-top": _handset_score,
+}
+
+
+@pytest.mark.parametrize("block", [None, 1, 7])
+@pytest.mark.parametrize("filter_name", sorted(REFERENCE_SCORES))
+def test_generate_pairs_equals_per_candidate_reference(filter_name, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(metrics, "_BLOCK", block)
+        monkeypatch.setattr(data, "_HANDSET_CHUNK", block)
+    score = functools.lru_cache(maxsize=None)(REFERENCE_SCORES[filter_name]())
+    # 65 candidates: cut-offs inside the ties at the top, and all of them.
+    for ratio in (0, 1, 2, 3, 4, 5, 6, 7, 10, 20, 64, 65, 66):
+        expected = _reference_generate_pairs(TIED_RECORDS, ratio, score)
+        got = generate_pairs(TIED_RECORDS, SamplingConfig(ratio=ratio, filter=filter_name))
+        assert got == expected
+
+
+def test_handset_filter_raises_when_a_candidate_has_no_path(monkeypatch):
+    monkeypatch.setattr(training, "init_params", lambda model: np.full(model.n_features, -np.inf))
+    records = [
+        Record("a1", "e1", "ab"),
+        Record("a2", "e1", "ab"),
+        Record("b1", "e2", "ac"),
+        Record("c1", "e3", "zz"),
+    ]
+    with pytest.raises(NoPathError):
+        generate_pairs(records, SamplingConfig(ratio=1, filter="handset-crf-top"))

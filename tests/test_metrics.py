@@ -1,10 +1,14 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from editcrf import cosine_tokens, jaro, levenshtein
+from editcrf.metrics import jaro_many
 
 short = st.text(alphabet="abcd ", max_size=8)
+# Few distinct characters give many matches and transpositions; any text
+# covers code points of every width.
+jaro_text = st.text(alphabet="abc é\U0001d11e", max_size=14) | st.text(max_size=14)
 
 
 def test_jaro_identity():
@@ -44,6 +48,30 @@ def test_levenshtein_examples():
     assert levenshtein("abc", "abc") == 0
     assert levenshtein("", "abc") == 3
     assert levenshtein("kitten", "sitting") == 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(jaro_text, jaro_text)
+@example("", "")
+@example("", "a")
+@example("katz", "katz")
+@example("a", "b")
+@example("ab", "ba")
+@example("abc", "bca")
+@example("ab", "abc")
+@example("aaaa", "aa")
+@example("a", "abcdefghijklmnopqrstuvwxyza")
+@example("martha", "marhtamarthamartha martha")
+@example("café", "cafè")
+@example("\U0001d11eab", "ab\U0001d11e")
+@example("日本語", "本日語")
+def test_jaro_many_equals_jaro_bit_for_bit(x, y):
+    # Both orders, and each string against itself, in one block with a
+    # longer string, so that both sides of a pair are padded.
+    longer = x + y + "#"
+    got = jaro_many([x, y, longer], [0, 1, 0, 1, 2], [1, 0, 0, 1, 2])
+    expected = [jaro(x, y), jaro(y, x), jaro(x, x), jaro(y, y), 1.0]
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected]
 
 
 @settings(max_examples=200, deadline=None)
