@@ -16,6 +16,8 @@ from .errors import DataFormatError
 
 RECORD_HEADER = "record_id\tentity_id\ttext"
 PAIR_HEADER = "pair_id\tx\ty\tz"
+# Joins the two record ids of a generated pair id, so no record id may hold it.
+PAIR_ID_SEPARATOR = "|"
 
 
 @dataclass(frozen=True)
@@ -106,6 +108,8 @@ def load_records(source) -> List[Record]:
         record_id, entity_id, text = cols
         if not text:
             raise DataFormatError(f"line {line_no}: record text must be non-empty")
+        if PAIR_ID_SEPARATOR in record_id:
+            raise DataFormatError(f"line {line_no}: record_id {record_id!r} contains {PAIR_ID_SEPARATOR!r}")
         if record_id in seen:
             raise DataFormatError(f"line {line_no}: duplicate record_id {record_id!r}")
         seen.add(record_id)
@@ -178,7 +182,7 @@ Scorer = Callable[[Sequence[Record], np.ndarray, np.ndarray], np.ndarray]
 def _pair(first: Record, second: Record) -> LabeledPair:
     """The pair of two records, first's id ordered before second's."""
     return LabeledPair(
-        pair_id=f"{first.record_id}|{second.record_id}",
+        pair_id=f"{first.record_id}{PAIR_ID_SEPARATOR}{second.record_id}",
         x=first.text,
         y=second.text,
         z=int(first.entity_id == second.entity_id),
@@ -247,6 +251,9 @@ def generate_pairs(records: Sequence[Record], sampling: SamplingConfig) -> List[
     """
     if len(records) < 2:
         raise ValueError("need at least 2 records to generate pairs")
+    for r in records:
+        if PAIR_ID_SEPARATOR in r.record_id:
+            raise ValueError(f"record_id {r.record_id!r} contains {PAIR_ID_SEPARATOR!r}, which joins pair ids")
     ordered = sorted(records, key=lambda r: r.record_id)
     entity_ids = {}
     entity = np.array([entity_ids.setdefault(r.entity_id, len(entity_ids)) for r in ordered])
@@ -265,7 +272,7 @@ def generate_pairs(records: Sequence[Record], sampling: SamplingConfig) -> List[
         ids, first, second = [r.record_id for r in ordered], ia.tolist(), ib.tolist()
 
         def pair_id(k):
-            return f"{ids[first[k]]}|{ids[second[k]]}"
+            return f"{ids[first[k]]}{PAIR_ID_SEPARATOR}{ids[second[k]]}"
 
         kept = _top(scores, wanted, pair_id)
         negatives = [_pair(ordered[first[k]], ordered[second[k]]) for k in kept]

@@ -1,4 +1,4 @@
-"""Vectorized edit-lattice construction and log-space sweeps.
+"""Vectorized edit-lattice construction and sweeps.
 
 The lattice for a string pair has one node per (i, j, state) triple plus a
 start node for q0 at (0, 0).  Because every edit strictly increases i + j,
@@ -7,14 +7,23 @@ pairs can share a single sweep: edges of all pairs are merged and sorted by
 anti-diagonal.
 
 Every pass runs through one sweep routine over per-diagonal steps of one
-direction, and both directions pull: forward steps, in ascending
-destination diagonals, read sources and write destinations (log-sum for
-alignment mass, max for best-path scores); backward steps, in descending
-source diagonals, read destinations and write sources.  A step only reads
-nodes that earlier steps finished, and all the edges that write one node
-form one run of one step, so each node is written exactly once, by one
-segmented reduce whose per-edge run indices are compiled with the schedule.  A beam
-reruns the forward sweep with the cut nodes' outgoing potentials at -inf.
+direction, in one of three semirings, and both directions pull: forward
+steps, in ascending destination diagonals, read sources and write
+destinations (log-sum for alignment mass, max for best-path scores);
+backward steps, in descending source diagonals, read destinations and
+write sources (log-sum for beta, product-sum for the adjoint).  A step
+only reads nodes that earlier steps finished, and all the edges that
+write one node form one run of one step, so each node is written exactly
+once, by one segmented reduce whose per-edge run indices are compiled
+with the schedule.  A beam reruns the forward sweep with the cut nodes'
+outgoing potentials at -inf.
+
+Expected feature counts are the gradient of log Z.  They come from the
+log-space forward alone plus one backward product-sum sweep in
+probability space, whose node values are posteriors in [0, 1] within a
+subset (see :meth:`Batch._subset_posteriors`), so they need no rescaling
+and a beam's counts are the gradient of its pruned log Z.  The log-space
+backward sweep serves only callers that read beta.
 
 A batch is compiled in one pass over all of its pairs.  Their strings are
 concatenated once, every (i, j) cell of every pair is one row of a flat
@@ -38,7 +47,7 @@ be used from several threads at once.
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import sparse
@@ -310,6 +319,11 @@ def _segment_max(vals: np.ndarray, starts: np.ndarray, run: np.ndarray) -> np.nd
     return np.maximum.reduceat(vals, starts)
 
 
+def _segment_sum(vals: np.ndarray, starts: np.ndarray, run: np.ndarray) -> np.ndarray:
+    """Sum over the contiguous runs of vals, added in order within each run."""
+    return np.bincount(run, weights=vals, minlength=len(starts))
+
+
 _Step = Tuple[int, int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -345,22 +359,34 @@ def _signature_features(codes: np.ndarray, n_predicates: int) -> Tuple[np.ndarra
     return rows, (codes[rows] >> n_predicates) * n_predicates + preds
 
 
-def _sweep(steps: List[_Step], values: np.ndarray, w: np.ndarray, reduce) -> np.ndarray:
+class Semiring(NamedTuple):
+    """How a sweep step joins each read node value with its edge's weight
+    (times, a ufunc) and reduces the joined values of the edges that write
+    one node (plus, a segmented reduce)."""
+
+    times: np.ufunc
+    plus: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+
+
+def _sweep(steps: List[_Step], values: np.ndarray, w: np.ndarray, semiring: Semiring) -> np.ndarray:
     """Run the steps of one sweep order over node values in place, with w
-    the edge potentials in that order.  Every step reads nodes that earlier
-    steps finished and writes each of its nodes once, with the segmented
-    reduce of the semiring: log-sum for alignment mass, max for best-path
-    scores, which max leaves exactly equal to the best alpha[src] + w."""
+    the edge weights in that order.  Every step reads nodes that earlier
+    steps finished and writes each of its nodes once, with the semiring's
+    segmented reduce: log-sum for alignment mass, max for best-path scores
+    (which max leaves exactly equal to the best alpha[src] + w), and sum
+    of products for the adjoint's node posteriors."""
+    times, plus = semiring
     with np.errstate(divide="ignore"):
         for lo, hi, read, starts, run, written in steps:
             vals = values[read]
-            vals += w[lo:hi]
-            values[written] = reduce(vals, starts, run)
+            times(vals, w[lo:hi], out=vals)
+            values[written] = plus(vals, starts, run)
     return values
 
 
-LOG_SUM = _segment_logsumexp
-MAX = _segment_max
+LOG_SUM = Semiring(np.add, _segment_logsumexp)
+MAX = Semiring(np.add, _segment_max)
+PRODUCT_SUM = Semiring(np.multiply, _segment_sum)
 
 
 class Batch:
@@ -427,8 +453,9 @@ class Batch:
         trans, cell = trans[order], cell[order]
         del order
         self.op_idx = op_idx.astype(np.int8)[trans]
-        self.subset = subset.astype(np.int8)[trans]
         self.pair_of_edge = cells.pair.astype(np.int32)[cell]
+        # Index of each edge's (pair, subset) in a flat (n_pairs, 2) table.
+        self.pair_subset = 2 * self.pair_of_edge + subset.astype(np.int32)[trans]
         # Signature ids number the (group, mask) pairs of the batch's own
         # edges in sorted order, which is the order of their codes
         # group << n_predicates | mask, so they depend on nothing else.
@@ -542,20 +569,66 @@ class Batch:
         self,
         w: np.ndarray,
         alpha: np.ndarray,
-        beta: np.ndarray,
-        log_norm: np.ndarray,
-        edge_mask: Optional[np.ndarray] = None,
+        lz0: np.ndarray,
+        lz1: np.ndarray,
+        logz: Optional[np.ndarray] = None,
+        labels: Optional[np.ndarray] = None,
         by_pair: bool = False,
-    ) -> np.ndarray:
-        """Expected feature counts under edge posteriors alpha*w*beta/norm;
-        with by_pair, one row per pair."""
-        logp = alpha[self.src] + w + beta[self.dst] - log_norm[self.pair_of_edge]
-        if edge_mask is not None:
-            logp = np.where(edge_mask, logp, NEG_INF)
-        p = np.exp(logp)
-        if by_pair:
-            return self.counts_by_pair(p)
-        mass = np.bincount(self.sig, weights=p, minlength=self.n_sigs)
+    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray]]:
+        """Expected feature counts from one probability-space adjoint sweep.
+
+        Returns the unconstrained counts when logz is given, the counts
+        clamped to each pair's labelled subset when labels are, and with
+        by_pair also the clamped counts with one row per pair; None for
+        what was not asked.  Both sets weight the same edge posteriors
+        within a subset (see :meth:`_subset_posteriors`): the unconstrained
+        ones by P(subset | pair) = exp(lz_subset - log Z) <= 1, the clamped
+        ones by 1 on the labelled subset and 0 on the other.
+        """
+        lz = np.stack((lz0, lz1), axis=1)
+        p = self._subset_posteriors(w, alpha, lz)
+        counts_all = clamped = clamped_by_pair = None
+        if logz is not None:
+            share = np.exp(lz - logz[:, None])
+            counts_all = self.feature_counts(p * share.ravel().take(self.pair_subset))
+        if labels is not None:
+            p *= (labels[:, None] == (0, 1)).ravel().take(self.pair_subset)
+            clamped = self.feature_counts(p)
+            if by_pair:
+                clamped_by_pair = self.counts_by_pair(p)
+        return counts_all, clamped, clamped_by_pair
+
+    def _subset_posteriors(self, w: np.ndarray, alpha: np.ndarray, lz: np.ndarray) -> np.ndarray:
+        """P(edge | pair, the edge's subset) of every edge, given the
+        subsets' log-partitions lz, one (lz0, lz1) row per pair: the
+        adjoint of the forward log-sum sweep, run in probability space.
+
+        Each edge carries the share q = exp(alpha[src] + w - alpha[dst]) of
+        its destination's mass, 0 into a node that no path reaches.  Node
+        posteriors mu start at the accepting nodes as exp(alpha - lz of the
+        node's subset) and flow back as mu[src] = sum of mu[dst] * q in the
+        product-sum semiring; S0 and S1 share no node after q0, so one
+        vector serves both subsets.  An edge's posterior is mu[dst] * q.
+        Every quantity lies in [0, 1], so nothing needs rescaling, and with
+        a beam's alpha the result is the gradient of the beam's log Z.
+        """
+        # exp(x - +inf) = 0 where x - -inf would give exp(NaN) or exp(+inf).
+        lower = np.where(np.isneginf(alpha), np.inf, alpha)
+        q = alpha[self.src]
+        q += w
+        q -= lower[self.dst]
+        np.exp(q, out=q)
+        lz = np.where(np.isneginf(lz), np.inf, lz)
+        mu = np.zeros(self.n_nodes)
+        mu[self.acc0] = np.exp(alpha[self.acc0] - lz[:, :1])
+        mu[self.acc1] = np.exp(alpha[self.acc1] - lz[:, 1:])
+        _sweep(self._backward_steps, mu, q[self.bwd_perm], PRODUCT_SUM)
+        q *= mu[self.dst]
+        return q
+
+    def feature_counts(self, edge_mass: np.ndarray) -> np.ndarray:
+        """Feature counts of a per-edge mass: a bincount over signatures, then over their features."""
+        mass = np.bincount(self.sig, weights=edge_mass, minlength=self.n_sigs)
         return np.bincount(self.sig_features, weights=mass[self.sig_rows], minlength=self.model.n_features)
 
     def counts_by_pair(self, edge_mass: np.ndarray) -> np.ndarray:
@@ -608,18 +681,13 @@ def expectations(
     logz = np.logaddexp(lz0, lz1)
     batch.check_paths(logz, "unconstrained")
     counts_all = counts_clamped = clamped_by_pair = None
+    if labels is not None:
+        labels = np.asarray(labels)
+        batch.check_paths(np.where(labels == 1, lz1, lz0), "true-label subset")
     if want_counts or labels is not None:
-        beta = batch.backward(w)
-        if want_counts:
-            counts_all = batch.posterior_counts(w, alpha, beta, logz)
-        if labels is not None:
-            labels = np.asarray(labels)
-            lz_true = np.where(labels == 1, lz1, lz0)
-            batch.check_paths(lz_true, "true-label subset")
-            mask = batch.subset == labels[batch.pair_of_edge]
-            counts_clamped = batch.posterior_counts(w, alpha, beta, lz_true, mask)
-            if per_pair:
-                clamped_by_pair = batch.posterior_counts(w, alpha, beta, lz_true, mask, by_pair=True)
+        counts_all, counts_clamped, clamped_by_pair = batch.posterior_counts(
+            w, alpha, lz0, lz1, logz if want_counts else None, labels, per_pair
+        )
     return Expectations(
         lz0=lz0,
         lz1=lz1,

@@ -1,9 +1,9 @@
 """Exact inference over the (i, j, state) edit lattice of one string pair.
 
-All quantities live in natural-log space.  One anti-diagonal forward sweep
-runs in two semirings.  In log-sum it totals alignment mass; the backward
-pass completes it so that edge posteriors and expected feature counts come
-from alpha + potential + beta minus the relevant log-partition.  In max it
+Masses and scores live in natural-log space.  One anti-diagonal forward
+sweep runs in two semirings.  In log-sum it totals alignment mass, and
+expected feature counts come from its adjoint (see :mod:`editcrf.engine`);
+the log-space backward pass fills beta for :func:`backward`.  In max it
 scores best paths, and the edges whose sums reach their end node exactly
 give the single best alignment.  Ties go to the shortest alignment, then
 the smallest operation-name sequence, then the smallest state-id sequence.

@@ -36,7 +36,7 @@ from editcrf import (
     synthesize_names,
 )
 from editcrf.cli import main as cli_main
-from editcrf.engine import Batch
+from editcrf.engine import Batch, expectations
 from editcrf.lattice import viterbi_on_batch
 from conftest import oracle_terms
 
@@ -84,21 +84,17 @@ def sweep():
             batch = Batch(model, [(x, y)])
             batches.append(batch)
             for wvec in weights:
-                w = batch.edge_weights(wvec)
-                alpha = batch._sweep_forward(w)
-                lz0, lz1 = batch.log_partitions(alpha)
-                logz = float(np.logaddexp(lz0[0], lz1[0]))
-                beta = batch.backward(w)
-                counts = batch.posterior_counts(w, alpha, beta, np.array([logz]))
-                best, _ = viterbi_on_batch(batch, w, "all")
+                # Counts come from the path that training runs.
+                exp = expectations(batch, wvec)
+                best, _ = viterbi_on_batch(batch, batch.edge_weights(wvec), "all")
                 items.append(
                     SimpleNamespace(
                         x=x,
                         y=y,
-                        dp_logz=logz,
-                        dp_lz0=float(lz0[0]),
-                        dp_lz1=float(lz1[0]),
-                        dp_counts=counts,
+                        dp_logz=float(exp.logz[0]),
+                        dp_lz0=float(exp.lz0[0]),
+                        dp_lz1=float(exp.lz1[0]),
+                        dp_counts=exp.counts_all,
                         dp_viterbi=best.score,
                         oracle_logz=terms.log_z(wvec),
                         oracle_lz0=terms.constrained_log_z(wvec, 0),

@@ -49,6 +49,19 @@ def test_load_records_duplicate_id():
         load_records(io.StringIO(text))
 
 
+def test_load_records_rejects_pair_id_separator_in_record_id():
+    text = records_tsv(["r1\te1\ta", "a|b\te2\tb"])
+    with pytest.raises(DataFormatError, match="line 3.*'a\\|b'"):
+        load_records(io.StringIO(text))
+
+
+def test_generate_pairs_rejects_pair_id_separator_in_record_id():
+    """Ids "a|b" + "c" and "a" + "b|c" would both give the pair id "a|b|c"."""
+    records = [Record("a|b", "e1", "x"), Record("c", "e2", "y"), Record("a", "e3", "z"), Record("b|c", "e4", "w")]
+    with pytest.raises(ValueError, match="'a\\|b'"):
+        generate_pairs(records, SamplingConfig(ratio=10))
+
+
 def test_load_records_rejects_empty_text():
     text = records_tsv(["r1\te1\t"])
     with pytest.raises(DataFormatError, match="non-empty"):
@@ -315,12 +328,12 @@ def _handset_score():
 # One positive, so the number of negatives kept equals the ratio.  Texts
 # repeated across entities tie at the cut-off; ids such as "a", "a-b" and
 # "ab" sort as records in that order, but "a-b|ab" < "a|a-b" < "a|ab" as
-# pair ids, since "-" < "|" < "b".
+# pair ids, since "-" < "|" < "b".  No record id holds "|" itself.
 TIED_RECORDS = [
     Record("a", "e1", "jon smith"),
     Record("a-b", "e2", "jon smith"),
     Record("ab", "e3", "jon smith"),
-    Record("a|c", "e1", "john smith"),
+    Record("a~c", "e1", "john smith"),
     Record("b", "e4", "jon smyth"),
     Record("b-0", "e5", "jane smith"),
     Record("b0", "e6", "jane smith"),

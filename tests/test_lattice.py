@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.special import logsumexp
 
 from editcrf import (
@@ -22,7 +23,7 @@ from editcrf import (
     viterbi,
 )
 from editcrf import edits
-from editcrf.engine import MAX, Batch, _Cells
+from editcrf.engine import MAX, Batch, _Cells, expectations
 from editcrf.errors import DegenerateInputError, NoPathError
 from editcrf.features import LexiconSet, eval_predicate
 from editcrf.lattice import _BestPaths, alignment_feature_counts
@@ -522,3 +523,69 @@ def test_sweeps_match_reference_recursion(x, y, order, seed):
     _assert_close_log(batch.forward(w)[0], alpha)
     _assert_close_log(batch.backward(w), beta)
     np.testing.assert_array_equal(batch._sweep_forward(w, semiring=MAX), best)
+
+
+def _reference_counts(batch, w, labels):
+    """Unconstrained, clamped and per-pair clamped counts from log-space
+    edge posteriors exp(alpha[src] + w + beta[dst] - lz), with beta from
+    the log-space backward sweep and features summed by a sparse product."""
+    alpha, _ = batch.forward(w)
+    beta = batch.backward(w)
+    lz0, lz1 = batch.log_partitions(alpha)
+    pair, subset = np.divmod(batch.pair_subset, 2)
+    log_mass = alpha[batch.src] + w + beta[batch.dst]
+    p_all = np.exp(log_mass - np.logaddexp(lz0, lz1)[pair])
+    p_true = np.exp(np.where(subset == labels[pair], log_mass - np.where(labels == 1, lz1, lz0)[pair], -np.inf))
+    n_sigs, n_features = batch.n_sigs, batch.model.n_features
+    sig_features = sparse.csr_array(
+        (np.ones(len(batch.sig_rows)), (batch.sig_rows, batch.sig_features)), shape=(n_sigs, n_features)
+    )
+    edge_sigs = sparse.csr_array(
+        (np.ones(batch.n_edges), (np.arange(batch.n_edges), batch.sig)), shape=(batch.n_edges, n_sigs)
+    )
+    edge_features = (edge_sigs @ sig_features).T
+    per_pair = np.array([edge_features @ np.where(pair == k, p_true, 0.0) for k in range(batch.n_pairs)])
+    return edge_features @ p_all, edge_features @ p_true, per_pair
+
+
+def _split_weights(model, value):
+    """+value on every feature of the S1 groups and -value on those of S0."""
+    params = np.zeros(model.n_features)
+    for g in model.groups:
+        for p in range(len(model.predicates)):
+            params[model.feature_id(g.index, p)] = value if g.subset == 1 else -value
+    return params
+
+
+_pair_strategy = st.tuples(
+    st.text(alphabet="abAB -", max_size=40), st.text(alphabet="abAB -", max_size=40), st.integers(0, 1)
+)
+
+
+@settings(max_examples=20, deadline=None)
+# The true subset S0 holds e^-3308 of the first pair's mass, so dividing
+# unconstrained posteriors by it overflows.
+@example(pairs=[("abcdefgh", "abcdefgh", 0), ("xyz", "xzy", 0)], order="first-order", seed=None)
+@example(pairs=[("Ab ab-ba " * 4 + "abAB", "ba aB-ab " * 4 + "BAba", 1), ("ab", "", 0)], order="second-order", seed=9)
+@given(
+    pairs=st.lists(_pair_strategy, min_size=1, max_size=3),
+    order=st.sampled_from(sorted(_PROPERTY_MODELS)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_adjoint_counts_match_log_space_reference(pairs, order, seed):
+    """Counts from the probability-space adjoint sweep, against log-space
+    edge posteriors from alpha and beta, with weights in [-50, 50] (seed
+    None: +50 on S1, -50 on S0)."""
+    pairs = [(x if x or y else "a", y, z) for x, y, z in pairs]
+    model0 = _PROPERTY_MODELS[order]
+    if seed is None:
+        params = _split_weights(model0, 50.0)
+    else:
+        params = np.random.default_rng(seed).uniform(-50, 50, model0.n_features)
+    batch = Batch(model0, [(x, y) for x, y, _ in pairs])
+    labels = np.array([z for _, _, z in pairs])
+    exp = expectations(batch, params, labels, per_pair=True)
+    want_all, want_clamped, want_by_pair = _reference_counts(batch, batch.edge_weights(params), labels)
+    for got, want in ((exp.counts_all, want_all), (exp.counts_clamped, want_clamped), (exp.clamped_by_pair, want_by_pair)):
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)

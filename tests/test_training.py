@@ -362,6 +362,26 @@ def test_beam_config_equals_its_width():
     assert by_config.history == by_width.history
 
 
+@pytest.mark.parametrize("width", [2, 3])
+def test_beam_counts_are_the_gradient_of_the_beam_log_partition(width):
+    """Under a beam, the unconstrained counts that the M-step uses as the
+    gradient of sum log Z must be that of the pruned log Z, which central
+    differences give while the cut set stays put."""
+    model = build_model(OPS3)
+    batch = Batch(model, [("john", "jon"), ("smyth", "smith"), ("abc", "cba"), ("mary", "marie")])
+    params = np.random.default_rng(3).normal(0, 1, model.n_features)
+    exp = expectations(batch, params, beam=width)
+    assert exp.pruned
+    h = 1e-5
+    fd = np.empty(model.n_features)
+    for k in range(model.n_features):
+        step = np.zeros(model.n_features)
+        step[k] = h
+        hi, lo = (expectations(batch, params + s, beam=width, want_counts=False) for s in (step, -step))
+        fd[k] = (np.sum(hi.logz) - np.sum(lo.logz)) / (2 * h)
+    np.testing.assert_allclose(exp.counts_all, fd, rtol=0, atol=1e-6)
+
+
 def test_viterbi_mode_trains_and_improves():
     model = build_model(OPS3)
     corpus = toy_separable()
