@@ -197,11 +197,7 @@ def _negative_scorer(filter_name: str) -> Scorer:
     if filter_name == "jaro-top":
         return lambda ordered, ia, ib: metrics.jaro_many([r.text for r in ordered], ia, ib)
     if filter_name == "cosine-top":
-        return lambda ordered, ia, ib: np.array(
-            [metrics.cosine_tokens(ordered[a].text, ordered[b].text)
-             for a, b in zip(ia.tolist(), ib.tolist())],
-            dtype=np.float64,
-        )
+        return lambda ordered, ia, ib: metrics.cosine_many([r.text for r in ordered], ia, ib)
     # Hand-set model scores; imported lazily to keep data loading light.
     from .evaluation import score_pairs
     from .model import build_model

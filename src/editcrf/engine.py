@@ -50,7 +50,6 @@ from functools import cached_property
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy import sparse
 
 from . import edits
 from .errors import DegenerateInputError, NoPathError
@@ -353,8 +352,9 @@ def _signature_features(codes: np.ndarray, n_predicates: int) -> Tuple[np.ndarra
     """Entries (signature, feature id) of the indicator of sorted signature
     codes: code group << n_predicates | mask has features
     group * n_predicates + p for the set bits p of mask.  Entries run by
-    signature, then by feature, so a bincount over them adds in the same
-    order as a sparse product with the indicator or its transpose."""
+    signature, then by feature, so a bincount over them adds each
+    feature's signatures in ascending order, as a product with the
+    indicator matrix would."""
     rows, preds = np.nonzero(codes[:, None] >> np.arange(n_predicates) & 1)
     return rows, (codes[rows] >> n_predicates) * n_predicates + preds
 
@@ -632,14 +632,18 @@ class Batch:
         return np.bincount(self.sig_features, weights=mass[self.sig_rows], minlength=self.model.n_features)
 
     def counts_by_pair(self, edge_mass: np.ndarray) -> np.ndarray:
-        """Feature counts per pair of a per-edge mass: one bincount over (pair, signature)."""
+        """Feature counts per pair of a per-edge mass, one row per pair: a
+        bincount over (pair, signature), then one over (pair, feature)
+        bins of the signature-feature entries."""
         key = self.pair_of_edge.astype(np.int64) * self.n_sigs + self.sig
         mass = np.bincount(key, weights=edge_mass, minlength=self.n_pairs * self.n_sigs)
-        indptr = np.searchsorted(self.sig_rows, np.arange(self.n_sigs + 1))
-        indicator = sparse.csr_array(
-            (np.ones(len(self.sig_rows)), self.sig_features, indptr), shape=(self.n_sigs, self.model.n_features)
+        n_features = self.model.n_features
+        bins = np.arange(self.n_pairs, dtype=np.int64)[:, None] * n_features + self.sig_features
+        counts = np.bincount(
+            bins.ravel(), weights=mass.reshape(self.n_pairs, self.n_sigs)[:, self.sig_rows].ravel(),
+            minlength=self.n_pairs * n_features,
         )
-        return np.ascontiguousarray(mass.reshape(self.n_pairs, self.n_sigs) @ indicator)
+        return counts.reshape(self.n_pairs, n_features)
 
     def check_paths(self, lz: np.ndarray, what: str) -> None:
         bad = np.flatnonzero(~np.isfinite(lz))

@@ -8,10 +8,10 @@ import numpy as np
 
 from .edits import tokens
 
-# Candidates that jaro_many scores in one array pass.  A block's working
-# arrays take about 10 * _BLOCK * L bytes for strings of up to L
-# characters.  Larger blocks were no faster on name records and raised
-# the peak memory of pair generation.
+# Candidates that jaro_many and cosine_many score in one array pass.
+# jaro_many's working arrays take about 10 * _BLOCK * L bytes for strings
+# of up to L characters.  Larger blocks were no faster on name records and
+# raised the peak memory of pair generation.
 _BLOCK = 1024
 
 
@@ -133,6 +133,43 @@ def cosine_tokens(x: str, y: str) -> float:
     nx = math.sqrt(sum(v * v for v in cx.values()))
     ny = math.sqrt(sum(v * v for v in cy.values()))
     return dot / (nx * ny)
+
+
+def cosine_many(texts: Sequence[str], ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+    """``cosine_tokens(texts[ia[k]], texts[ib[k]])`` for every k, bit for bit.
+
+    Each text is tokenized once, into its token counts and their norm.
+    Per block of ``_BLOCK`` candidates, each token of a candidate's x text
+    is looked up among its y text's sorted (text, token) keys.  The dot
+    product is an integer, so summing it as a float is exact, and it is
+    divided by the same norms as in :func:`cosine_tokens`.
+    """
+    ia, ib = np.asarray(ia, dtype=np.int64), np.asarray(ib, dtype=np.int64)
+    counts = [Counter(tokens(t)) for t in texts]
+    norm = np.array([math.sqrt(sum(v * v for v in c.values())) for c in counts])
+    n_tokens = np.fromiter(map(len, counts), dtype=np.int64, count=len(counts))
+    start = np.cumsum(n_tokens) - n_tokens
+    vocab = {}
+    token = np.array([vocab.setdefault(t, len(vocab)) for c in counts for t in c], dtype=np.int64)
+    count = np.array([v for c in counts for v in c.values()], dtype=np.float64)
+    # Each text's entries stay in its own run when sorted by (text, token).
+    key = np.repeat(np.arange(len(texts), dtype=np.int64), n_tokens) * len(vocab) + token
+    order = np.argsort(key)
+    key, token, count = key[order], token[order], count[order]
+    dot = np.empty(len(ia))
+    for s in range(0, len(ia), _BLOCK):
+        a, b = ia[s : s + _BLOCK], ib[s : s + _BLOCK]
+        n = n_tokens[a]
+        candidate = np.repeat(np.arange(len(a)), n)
+        entry = np.arange(len(candidate)) + np.repeat(start[a] - (np.cumsum(n) - n), n)
+        wanted = b[candidate] * len(vocab) + token[entry]
+        at = np.minimum(np.searchsorted(key, wanted), len(key) - 1)
+        both = np.where(key[at] == wanted, count[entry] * count[at], 0.0)
+        dot[s : s + _BLOCK] = np.bincount(candidate, weights=both, minlength=len(a))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        score = dot / (norm[ia] * norm[ib])
+    score[(n_tokens[ia] == 0) | (n_tokens[ib] == 0)] = 0.0
+    return score
 
 
 def levenshtein(x: str, y: str) -> int:

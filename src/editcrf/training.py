@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import edits
 from .engine import Batch, Beam, Expectations, beam_width, expectations
@@ -201,6 +200,15 @@ def _mstep_on_batch(
         return objective(params, expectations(batch, params, beam=config.beam))
 
     return _ascend(neg_q, params0, config, None if start is None else objective(params0, start))
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on the first M-step so that
+    importing the package, scoring and pair generation load no SciPy.
+    Callers look it up through this module, so it can be wrapped there."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 def _memo_last(f, seed=None):

@@ -23,6 +23,7 @@ from editcrf import (
     viterbi,
 )
 from editcrf import edits
+from editcrf.data import NoiseConfig, random_person_names, synthesize_names
 from editcrf.engine import MAX, Batch, _Cells, expectations
 from editcrf.errors import DegenerateInputError, NoPathError
 from editcrf.features import LexiconSet, eval_predicate
@@ -589,3 +590,31 @@ def test_adjoint_counts_match_log_space_reference(pairs, order, seed):
     for got, want in ((exp.counts_all, want_all), (exp.counts_clamped, want_clamped), (exp.clamped_by_pair, want_by_pair)):
         assert np.all(np.isfinite(got))
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
+def _sparse_counts_by_pair(batch, edge_mass):
+    """Per-pair feature counts as a dense (pair, signature) mass matrix
+    times the sparse (signature, feature) indicator."""
+    key = batch.pair_of_edge.astype(np.int64) * batch.n_sigs + batch.sig
+    mass = np.bincount(key, weights=edge_mass, minlength=batch.n_pairs * batch.n_sigs)
+    indptr = np.searchsorted(batch.sig_rows, np.arange(batch.n_sigs + 1))
+    indicator = sparse.csr_array(
+        (np.ones(len(batch.sig_rows)), batch.sig_features, indptr), shape=(batch.n_sigs, batch.model.n_features)
+    )
+    return mass.reshape(batch.n_pairs, batch.n_sigs) @ indicator
+
+
+@pytest.mark.parametrize("scale", [1.0, 20.0])
+@pytest.mark.parametrize("n_pairs", [1, 30])
+@pytest.mark.parametrize("order", sorted(_PROPERTY_MODELS))
+def test_counts_by_pair_equals_sparse_product(order, n_pairs, scale):
+    """The bincount over (pair, feature) bins adds each count's signatures
+    in the sparse product's order, so the two agree bit for bit."""
+    records = synthesize_names(random_person_names(n_pairs, seed=n_pairs), NoiseConfig(seed=n_pairs))
+    batch = Batch(_PROPERTY_MODELS[order], [(a.text, b.text) for a, b in zip(records[::2], records[1::2])])
+    assert batch.n_pairs == n_pairs
+    for seed in range(3):
+        edge_mass = scale * np.random.default_rng(seed).standard_normal(batch.n_edges)
+        got = batch.counts_by_pair(edge_mass)
+        assert got.shape == (n_pairs, batch.model.n_features)
+        assert np.array_equal(got, _sparse_counts_by_pair(batch, edge_mass))

@@ -3,7 +3,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from editcrf import cosine_tokens, jaro, levenshtein
-from editcrf.metrics import jaro_many
+from editcrf.metrics import cosine_many, jaro_many
 
 short = st.text(alphabet="abcd ", max_size=8)
 # Few distinct characters give many matches and transpositions; any text
@@ -71,6 +71,22 @@ def test_jaro_many_equals_jaro_bit_for_bit(x, y):
     longer = x + y + "#"
     got = jaro_many([x, y, longer], [0, 1, 0, 1, 2], [1, 0, 0, 1, 2])
     expected = [jaro(x, y), jaro(y, x), jaro(x, x), jaro(y, y), 1.0]
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected]
+
+
+# Few words give repeated tokens and overlaps; case and separators fold.
+cosine_text = st.lists(st.sampled_from(["ab", "AB", "b", "ba", "c", " ", "-", ", ", "é"]), max_size=8).map("".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(cosine_text, min_size=1, max_size=5))
+@example(["", ""])
+@example(["a a b", "a b b", "c"])
+def test_cosine_many_equals_cosine_tokens_bit_for_bit(texts):
+    # Every ordered pair, each text against itself included.
+    ia, ib = zip(*((a, b) for a in range(len(texts)) for b in range(len(texts))))
+    got = cosine_many(texts, list(ia), list(ib))
+    expected = [cosine_tokens(texts[a], texts[b]) for a, b in zip(ia, ib)]
     assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected]
 
 
