@@ -28,10 +28,14 @@ backward sweep serves only callers that read beta.
 A batch is compiled in one pass over all of its pairs.  Their strings are
 concatenated once, every (i, j) cell of every pair is one row of a flat
 cell table whose predicate bits are computed together, and each
-operation's edges are emitted for all pairs at once.  A batch therefore
-costs a fixed number of NumPy calls, a few hundred microseconds, plus time
-that grows with its edges, whether it holds one pair or thousands;
-single-pair queries pay the fixed part each time.
+operation's edges are emitted for all pairs at once.  One argsort of a
+unique int64 key puts the edges in forward order; a batch too large for
+that key raises ValueError.  The backward order, which only the backward
+sweeps read, is a second argsort made on first use, as are the per-edge
+arrays that only training and Viterbi read, so fb scoring never builds them.
+A batch therefore costs a fixed number of NumPy calls, a few hundred
+microseconds, plus time that grows with its edges, whether it holds one
+pair or thousands; single-pair queries pay the fixed part each time.
 
 Edges carry a signature id standing for their active feature-id set, a
 (parameter group, predicate mask) pair.  Signature ids belong to the batch:
@@ -45,6 +49,7 @@ quantity is deterministic for a given model and corpus, and one model may
 be used from several threads at once.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -86,14 +91,22 @@ def _ragged(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return row, np.arange(len(row)) - (np.cumsum(counts) - counts)[row]
 
 
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """Distinct values, ascending: a sort and one comparison, which on
+    NumPy 2.4 takes a fraction of the time np.unique takes for integers."""
+    values = np.sort(values)
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
+
+
 def _cell_table(nx: np.ndarray, ny: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(offset, pair, i, j) of the flat cell table of a batch: the cells of
     pair k are offset[k] + i * (ny[k] + 1) + j, pairs in order."""
     stride = ny + 1
     counts = (nx + 1) * stride
     pair, local = _ragged(counts)
-    i = local // stride[pair]
-    return np.concatenate(([0], np.cumsum(counts))), pair, i, local - i * stride[pair]
+    stride = stride[pair]
+    i = local // stride
+    return np.concatenate(([0], np.cumsum(counts))), pair, i, local - i * stride
 
 
 class _Cells:
@@ -182,8 +195,14 @@ class _Cells:
                 bits.append(has_next & ~same_next)
             else:
                 raise ValueError(f"unknown predicate {name!r}")
-        packed = np.packbits(np.array(bits), axis=0, bitorder="little")
-        return sum(row.astype(np.int64) << 8 * k for k, row in enumerate(packed))
+        # Shift bit k within byte k // 8, then OR each run of 8 rows into
+        # one byte per cell: contiguous row operations, unlike packing
+        # bits along the predicate axis.
+        rows = np.array(bits).view(np.uint8)
+        rows <<= (np.arange(len(rows), dtype=np.uint8) % 8)[:, None]
+        return sum(
+            np.bitwise_or.reduce(rows[k : k + 8]).astype(np.int64) << k for k in range(0, len(rows), 8)
+        )
 
     @cached_property
     def runs(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -326,26 +345,44 @@ def _segment_sum(vals: np.ndarray, starts: np.ndarray, run: np.ndarray) -> np.nd
 _Step = Tuple[int, int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _steps(diag: np.ndarray, read: np.ndarray, write: np.ndarray) -> List[_Step]:
+def _diagonal_bounds(diag: np.ndarray) -> np.ndarray:
+    """Edge offsets at which each diagonal's run begins, and the end, for
+    edges sorted by the given diagonals."""
+    counts = np.bincount(diag)
+    return np.concatenate(([0], np.cumsum(counts[counts > 0])))
+
+
+def _steps(bounds: np.ndarray, read: np.ndarray, write: np.ndarray) -> List[_Step]:
     """Per-diagonal steps of one sweep order, whose edges run by diagonal,
-    then by the node they write, so that each node is written by one run
-    of one step.  A step is a diagonal's edge range lo:hi, the node each of
-    those edges reads, the starts (relative to lo) of the runs of edges that
-    write one node, each edge's run index within the step, and the node
-    each run writes."""
-    if not len(diag):
+    between the given bounds, then by the node they write, so that each
+    node is written by one run of one step.  A step is a diagonal's edge
+    range lo:hi, the node each of those edges reads, the starts (relative
+    to lo) of the runs of edges that write one node, each edge's run index
+    within the step, and the node each run writes.  A node lies on one
+    diagonal, so a run never crosses a bound."""
+    if not len(write):
         return []
-    new_diag = diag[1:] != diag[:-1]
-    new_run = np.concatenate(([True], new_diag | (write[1:] != write[:-1])))
+    new_run = np.empty(len(write), dtype=bool)
+    new_run[0] = True
+    np.not_equal(write[1:], write[:-1], out=new_run[1:])
     seg = np.flatnonzero(new_run)
-    edge_ptr = np.flatnonzero(np.concatenate(([True], new_diag, [True])))
-    seg_ptr = np.searchsorted(seg, edge_ptr)
-    starts = seg - np.repeat(edge_ptr[:-1], np.diff(seg_ptr))
+    seg_ptr = np.searchsorted(seg, bounds)
+    starts = seg - np.repeat(bounds[:-1], seg_ptr[1:] - seg_ptr[:-1])
     run = np.cumsum(new_run)
-    run -= np.repeat(seg_ptr[:-1] + 1, np.diff(edge_ptr))
+    run -= np.repeat(seg_ptr[:-1] + 1, bounds[1:] - bounds[:-1])
     written = write[seg]
-    bounds = zip(edge_ptr[:-1].tolist(), edge_ptr[1:].tolist(), seg_ptr[:-1].tolist(), seg_ptr[1:].tolist())
-    return [(lo, hi, read[lo:hi], starts[a:b], run[lo:hi], written[a:b]) for lo, hi, a, b in bounds]
+    spans = zip(bounds[:-1].tolist(), bounds[1:].tolist(), seg_ptr[:-1].tolist(), seg_ptr[1:].tolist())
+    return [(lo, hi, read[lo:hi], starts[a:b], run[lo:hi], written[a:b]) for lo, hi, a, b in spans]
+
+
+def _check_key_width(n_pairs: int, n_edges: int, widths: Sequence[int]) -> None:
+    """Raise ValueError unless a key of fields with the given numbers of
+    values, most significant first, fits in an int64."""
+    if math.prod(widths) > 2**63:
+        raise ValueError(
+            f"batch of {n_pairs} pairs and {n_edges} edges is too large: its edge order key "
+            f"needs {(math.prod(widths) - 1).bit_length()} bits; split the pairs into smaller batches"
+        )
 
 
 def _signature_features(codes: np.ndarray, n_predicates: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -414,64 +451,71 @@ class Batch:
         self.n_nodes = int(self.node_offset[-1])
         self.start_ids = self.node_offset[:-1]
         base = cells.pair + 1 + np.arange(len(cells.pair)) * n_states
-        diag = cells.i + cells.j
-        masks, mask_id = np.unique(cells.masks(model.predicates), return_inverse=True)
+        # Per-cell and per-edge values that fit are kept in int32, to
+        # halve the memory that the edge arrays pass through.
+        diag = (cells.i + cells.j).astype(np.int32)
+        cell_masks = cells.masks(model.predicates)
+        masks = _sorted_unique(cell_masks)
+        mask_id = np.searchsorted(masks, cell_masks).astype(np.int32)
+        del cell_masks
+        frm, op_idx, to, group, _ = rt.transitions.T
         # Every application of an operation, once per transition of that
-        # operation; transitions from q0 apply at cell (0, 0) only.
+        # operation: transitions from q0 apply at cell (0, 0) only.  Edges
+        # are emitted in transition order and then sorted.
         apps = [cells.landings(op, model.lexicon_union) for op in model.ops]
-        app_op = np.repeat(np.arange(len(model.ops)), [len(src) for src, _ in apps])
-        app_src = np.concatenate([src for src, _ in apps])
-        row, rank = _ragged(rt.n_from_states[app_op] + rt.n_from_q0[app_op] * (diag[app_src] == 0))
-        trans = rt.first[app_op][row] + rank
-        cell = app_src[row]
-        land = np.concatenate([dst for _, dst in apps])[row]
-        del apps, app_op, app_src, row, rank
-        frm, op_idx, to, group, subset = rt.transitions.T
-        src = base[cell] + frm[trans]
-        dst = base[land] + to[trans]
-        # dst_diag lives until the forward steps are built, so it is kept
-        # narrow; keys built from it are int64.
-        src_diag, dst_diag = diag[cell], diag[land].astype(np.int32)
+        at_start = diag == 0
+        starts = [(src[at_start[src]], land[at_start[src]]) for src, land in apps]
+        blocks = [(starts if f < 0 else apps)[k] for f, k in zip(frm.tolist(), op_idx.tolist())]
+        lens = [len(src) for src, _ in blocks]
+        cell = np.concatenate([src for src, _ in blocks])
+        land = np.concatenate([land for _, land in blocks])
+        del apps, starts, blocks
+        src = base.take(cell)
+        src += np.repeat(frm, lens)
+        dst = base.take(land)
+        dst += np.repeat(to, lens)
+        dst_diag = diag.take(land)
         del land
-        # Backward order is (source diagonal, source, operation,
-        # destination), one unique key below diagonals * n_nodes * n_ops *
-        # n_states; forward order (destination diagonal, destination,
-        # source diagonal, source, operation) is a stable sort of it by
-        # (destination diagonal, destination), so that a node's in-edges
-        # are one run.
-        by_src = np.argsort(
-            ((src_diag * self.n_nodes + src) * len(model.ops) + op_idx[trans]) * n_states + to[trans]
-        )
-        by_dst = np.argsort((np.multiply(dst_diag, self.n_nodes, dtype=np.int64) + dst)[by_src], kind="stable")
-        order = by_src[by_dst]
-        del by_src
-        self.src = src[order]
-        self.dst = dst[order]
-        self.src_diag = src_diag[order].astype(np.int32)
-        dst_diag = dst_diag[order]
-        del src, dst, src_diag
-        trans, cell = trans[order], cell[order]
-        del order
-        self.op_idx = op_idx.astype(np.int8)[trans]
-        self.pair_of_edge = cells.pair.astype(np.int32)[cell]
-        # Index of each edge's (pair, subset) in a flat (n_pairs, 2) table.
-        self.pair_subset = 2 * self.pair_of_edge + subset.astype(np.int32)[trans]
         # Signature ids number the (group, mask) pairs of the batch's own
         # edges in sorted order, which is the order of their codes
         # group << n_predicates | mask, so they depend on nothing else.
-        key = group[trans] * len(masks) + mask_id[cell]
-        del trans, cell
+        key = np.repeat((group * len(masks)).astype(np.int32), lens)
+        key += mask_id.take(cell)
         used = np.bincount(key, minlength=model.n_groups * len(masks)) > 0
-        self.sig = (np.cumsum(used) - 1)[key].astype(np.int32)
+        sig = (np.cumsum(used, dtype=np.int32) - 1).take(key)
+        op = np.repeat(op_idx.astype(np.int8), lens)
+        span = dst_diag - diag.take(cell)
+        del cell
+        # Forward order is (destination diagonal, destination, source
+        # diagonal, source, operation), so that a node's in-edges are one
+        # run: one unique key, in which a source of the same destination
+        # comes earlier the longer its edge spans in diagonals, then in
+        # node ids.  Every edge moves at least one diagonal and one node on.
+        gap = dst - src
+        n_ops = len(model.ops)
+        widths = (int(dst_diag.max()) + 1, self.n_nodes, int(span.max()) + 1, int(gap.max()) + 1, n_ops)
+        _check_key_width(self.n_pairs, len(src), widths)
+        _, _, n_spans, n_gaps, _ = widths
+        key = np.multiply(dst_diag, self.n_nodes, dtype=np.int64)
+        key += dst
+        key *= n_spans
+        key += n_spans - span
+        key *= n_gaps
+        key += np.subtract(n_gaps, gap, out=gap)
+        key *= n_ops
+        key += op
+        del span, gap
+        order = np.argsort(key)
+        del key
+        self.src, self.dst, self.op_idx, self.sig = (a.take(order) for a in (src, dst, op, sig))
+        del src, dst, op, sig, order
+        self.n_edges = len(self.src)
+        self._forward_steps = _steps(_diagonal_bounds(dst_diag), self.src, self.dst)
         key = np.flatnonzero(used)
         self.n_sigs = len(key)
         n_predicates = len(model.predicates)
         codes = (key // len(masks)) << n_predicates | masks[key % len(masks)]
         self.sig_rows, self.sig_features = _signature_features(codes, n_predicates)
-        self.n_edges = len(self.src)
-        self.bwd_perm = np.empty_like(by_dst)
-        self.bwd_perm[by_dst] = np.arange(self.n_edges)
-        self._forward_steps = _steps(dst_diag, self.src, self.dst)
         final = self.node_offset[1:] - n_states
         n_s0 = len(model.topology.s0)
         self.acc0 = final[:, None] + np.arange(n_s0)
@@ -484,12 +528,63 @@ class Batch:
         sig_w = np.bincount(self.sig_rows, weights=params[self.sig_features], minlength=self.n_sigs)
         return sig_w[self.sig]
 
+    # -- arrays built on first use ------------------------------------
+
+    @cached_property
+    def _node_pair(self) -> np.ndarray:
+        """Pair of every node."""
+        return np.repeat(np.arange(self.n_pairs, dtype=np.int32), np.diff(self.node_offset))
+
+    @cached_property
+    def _node_diag(self) -> np.ndarray:
+        """Anti-diagonal i + j of every node; 0 for start nodes."""
+        _, _, i, j = _cell_table(self.nx, self.ny)
+        cells = np.repeat((i + j).astype(np.int32), len(self.runtime.states))
+        return np.insert(cells, self.start_ids - np.arange(self.n_pairs), 0)
+
+    @cached_property
+    def src_diag(self) -> np.ndarray:
+        """Anti-diagonal of each edge's source."""
+        return self._node_diag[self.src]
+
+    @cached_property
+    def pair_of_edge(self) -> np.ndarray:
+        """Pair of each edge."""
+        return self._node_pair[self.dst]
+
+    @cached_property
+    def pair_subset(self) -> np.ndarray:
+        """Index of each edge's (pair, subset) in a flat (n_pairs, 2)
+        table; an edge's subset is that of its target state."""
+        _, _, to, _, subset = self.runtime.transitions.T
+        state_subset = np.zeros(len(self.runtime.states), dtype=np.int32)
+        state_subset[to] = subset
+        pair = self.pair_of_edge
+        return 2 * pair + state_subset[(self.dst - pair - 1) % len(state_subset)]
+
+    @cached_property
+    def bwd_perm(self) -> np.ndarray:
+        """Forward index of each edge in backward order: (source diagonal,
+        source, operation, destination).  An operation lands on one cell
+        from a source, so within (source, operation) destinations run in
+        target state order.  Forward-only work never reads it.  The key is
+        narrower than the forward one, which the batch checked."""
+        gap = self.dst - self.src
+        n_gaps = int(gap.max()) + 1
+        key = self.src_diag.astype(np.int64) * self.n_nodes
+        key += self.src
+        key *= len(self.model.ops)
+        key += self.op_idx
+        key *= n_gaps
+        key += gap
+        return np.argsort(key)
+
     # -- sweeps -------------------------------------------------------
 
     @cached_property
     def _backward_steps(self) -> List[_Step]:
         perm = self.bwd_perm
-        return _steps(self.src_diag[perm], self.dst[perm], self.src[perm])[::-1]
+        return _steps(_diagonal_bounds(self.src_diag), self.dst[perm], self.src[perm])[::-1]
 
     def _sweep_forward(self, w: np.ndarray, semiring=LOG_SUM) -> np.ndarray:
         alpha = np.full(self.n_nodes, NEG_INF)
@@ -507,13 +602,7 @@ class Batch:
         therefore nest and pruned partition mass grows monotonically
         with the beam width.
         """
-        n_states = len(self.runtime.states)
-        _, pair, i, j = _cell_table(self.nx, self.ny)
-        # Start nodes stay on diagonal 0.
-        group = np.zeros(self.n_nodes, dtype=np.int64)
-        nodes = (pair + 1 + np.arange(len(pair)) * n_states)[:, None] + np.arange(n_states)
-        group[nodes] = ((i + j) * self.n_pairs)[:, None]
-        group += np.repeat(np.arange(self.n_pairs), np.diff(self.node_offset))
+        group = self._node_diag.astype(np.int64) * self.n_pairs + self._node_pair
         # Rank by mass, largest first, equal masses equal; a stable sort by
         # (group, rank) then keeps ties in node id order.
         by_mass = np.argsort(-alpha)

@@ -24,7 +24,7 @@ from editcrf import (
 )
 from editcrf import edits
 from editcrf.data import NoiseConfig, random_person_names, synthesize_names
-from editcrf.engine import MAX, Batch, _Cells, expectations
+from editcrf.engine import MAX, Batch, _Cells, _check_key_width, expectations
 from editcrf.errors import DegenerateInputError, NoPathError
 from editcrf.features import LexiconSet, eval_predicate
 from editcrf.lattice import _BestPaths, alignment_feature_counts
@@ -462,6 +462,77 @@ def test_sweep_steps_write_each_node_once(order):
             written.append(nodes)
         written = np.concatenate(written)
         assert len(np.unique(written)) == len(written)
+
+
+def _increase_strictly(rows):
+    """Whether the columns of rows, read as tuples, strictly increase."""
+    step = np.diff(rows, axis=1)
+    first = np.argmax(step != 0, axis=0)
+    return bool(np.all(step[first, np.arange(step.shape[1])] > 0))
+
+
+@pytest.mark.parametrize("order", ["first-order", "second-order"])
+def test_compiled_edge_order(order):
+    """Forward edges run strictly by (destination diagonal, destination,
+    source diagonal, source, operation), the backward permutation orders
+    them strictly by (source diagonal, source, operation, target state),
+    and signature ids are the ranks of the edges' (group, mask) codes."""
+    lexicon = LexiconSet("words", frozenset({"the", "of", "corp.", "acm", "lab"}))
+    model = build_model(edits.registry(), order, lexicons={"words": lexicon})
+    pairs = WORDY_PAIRS + [("ab", "ba"), ("abc", ""), ("kitten", "sitting")]
+    batch = Batch(model, pairs)
+    diag = _node_diagonals(batch)
+    src, dst, op = batch.src, batch.dst, batch.op_idx.astype(np.int64)
+    assert _increase_strictly(np.stack((diag[dst], dst, diag[src], src, op)))
+    n_states = len(batch.runtime.states)
+    pair = np.searchsorted(batch.node_offset, dst, "right") - 1
+    to = (dst - batch.node_offset[pair] - 1) % n_states
+    perm = batch.bwd_perm
+    assert _increase_strictly(np.stack((diag[src], src, op, to))[:, perm])
+    local = src - batch.node_offset[pair] - 1
+    frm = np.where(local < 0, -1, local % n_states)
+    i, j = np.divmod(np.maximum(local, 0) // n_states, batch.ny[pair] + 1)
+    states = batch.runtime.states
+    triples, which = np.unique(np.stack((frm, op, to)), axis=1, return_inverse=True)
+    group = np.array([
+        model.group_of_transition(Q0 if f < 0 else states[f], model.ops[o], states[t])
+        for f, o, t in triples.T.tolist()
+    ])[which]
+    cells, where = np.unique(np.stack((pair, i, j)), axis=1, return_inverse=True)
+    mask = np.array([
+        sum(eval_predicate(name, *pairs[k], a, b) << bit for bit, name in enumerate(model.predicates))
+        for k, a, b in cells.T.tolist()
+    ])[where]
+    codes = group << len(model.predicates) | mask
+    np.testing.assert_array_equal(batch.sig, np.unique(codes, return_inverse=True)[1])
+
+
+def test_forward_only_work_builds_no_backward_order():
+    """score_pairs and posterior_match run forward and log_partitions
+    only, which leave the backward order unbuilt; counts build it, and
+    equal those of a fresh batch."""
+    model = build_model(["insert", "delete", "substitute"] + SKIP_PRESENT, "first-order")
+    model = model.with_params(np.random.default_rng(11).uniform(-1, 1, model.n_features))
+    pairs = [("john smith", "smith john"), ("kitten", "sitting"), ("a b", "b")]
+    labels = np.array([1, 0, 1])
+    batch = Batch(model, pairs)
+    batch.log_partitions(batch.forward(batch.edge_weights(model.params))[0])
+    assert "bwd_perm" not in vars(batch) and "_backward_steps" not in vars(batch)
+    got = expectations(batch, model.params, labels)
+    assert "bwd_perm" in vars(batch) and "_backward_steps" in vars(batch)
+    fresh = expectations(Batch(model, pairs), model.params, labels)
+    np.testing.assert_array_equal(got.counts_all, fresh.counts_all)
+    np.testing.assert_array_equal(got.counts_clamped, fresh.counts_clamped)
+
+
+def test_edge_key_width_check():
+    """A key whose fields' value counts multiply to at most 2**63 fits in
+    an int64; one more value raises, naming the batch's size."""
+    _check_key_width(3, 40, (2**20, 2**40, 2**3))
+    with pytest.raises(ValueError, match="3 pairs and 40 edges"):
+        _check_key_width(3, 40, (2**20, 2**40, 2**3 + 1))
+    with pytest.raises(ValueError, match="64 bits"):
+        _check_key_width(1, 5, (2**32, 2**32))
 
 
 def _reference_sweeps(batch, w):
