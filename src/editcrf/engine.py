@@ -451,8 +451,9 @@ class Batch:
         self.n_nodes = int(self.node_offset[-1])
         self.start_ids = self.node_offset[:-1]
         base = cells.pair + 1 + np.arange(len(cells.pair)) * n_states
-        # Per-cell and per-edge values that fit are kept in int32, to
-        # halve the memory that the edge arrays pass through.
+        # Per-cell and per-edge values that fit are kept in int32, to halve
+        # the memory the edge arrays pass through.  Arrays that index
+        # others stay intp: NumPy converts an int32 index on every gather.
         diag = (cells.i + cells.j).astype(np.int32)
         cell_masks = cells.masks(model.predicates)
         masks = _sorted_unique(cell_masks)
@@ -479,10 +480,11 @@ class Batch:
         # Signature ids number the (group, mask) pairs of the batch's own
         # edges in sorted order, which is the order of their codes
         # group << n_predicates | mask, so they depend on nothing else.
-        key = np.repeat((group * len(masks)).astype(np.int32), lens)
+        key = np.repeat((group * len(masks)).astype(np.intp), lens)
         key += mask_id.take(cell)
         used = np.bincount(key, minlength=model.n_groups * len(masks)) > 0
-        sig = (np.cumsum(used, dtype=np.int32) - 1).take(key)
+        sig = (np.cumsum(used, dtype=np.intp) - 1).take(key)
+        del key
         op = np.repeat(op_idx.astype(np.int8), lens)
         span = dst_diag - diag.take(cell)
         del cell
@@ -507,8 +509,13 @@ class Batch:
         del span, gap
         order = np.argsort(key)
         del key
-        self.src, self.dst, self.op_idx, self.sig = (a.take(order) for a in (src, dst, op, sig))
-        del src, dst, op, sig, order
+        # Permute one array at a time and free its unsorted copy before the
+        # next, so that the build holds one spare edge array, not four.
+        unsorted = dict(src=src, dst=dst, op_idx=op, sig=sig)
+        del src, dst, op, sig
+        for name in list(unsorted):
+            setattr(self, name, unsorted.pop(name).take(order))
+        del order
         self.n_edges = len(self.src)
         self._forward_steps = _steps(_diagonal_bounds(dst_diag), self.src, self.dst)
         key = np.flatnonzero(used)
@@ -557,7 +564,7 @@ class Batch:
         """Index of each edge's (pair, subset) in a flat (n_pairs, 2)
         table; an edge's subset is that of its target state."""
         _, _, to, _, subset = self.runtime.transitions.T
-        state_subset = np.zeros(len(self.runtime.states), dtype=np.int32)
+        state_subset = np.zeros(len(self.runtime.states), dtype=np.intp)
         state_subset[to] = subset
         pair = self.pair_of_edge
         return 2 * pair + state_subset[(self.dst - pair - 1) % len(state_subset)]

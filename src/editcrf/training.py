@@ -27,8 +27,12 @@ from .engine import Batch, Beam, Expectations, beam_width, expectations
 from .errors import NumericalError
 from .lattice import _BestPaths
 from .model import FsmModel
+from .optimize import minimize
 
 logger = logging.getLogger("editcrf.training")
+
+# Relative reduction of the objective at which an L-BFGS run stops.
+FTOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -202,15 +206,6 @@ def _mstep_on_batch(
     return _ascend(neg_q, params0, config, None if start is None else objective(params0, start))
 
 
-def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on the first M-step so that
-    importing the package, scoring and pair generation load no SciPy.
-    Callers look it up through this module, so it can be wrapped there."""
-    from scipy.optimize import minimize as scipy_minimize
-
-    return scipy_minimize(*args, **kwargs)
-
-
 def _memo_last(f, seed=None):
     """f with a one-entry memo: a call at the point of the previous call
     returns that call's result, so a point is evaluated once.  A seed
@@ -231,20 +226,17 @@ def _ascend(neg_q, params0: np.ndarray, config: TrainConfig, start=None) -> np.n
     # L-BFGS starts by evaluating params0 again.
     neg_q = _memo_last(neg_q, None if start is None else (params0, start))
     q0 = -neg_q(params0)[0]
-    result = minimize(
-        neg_q,
-        params0,
-        jac=True,
-        method="L-BFGS-B",
-        options={
-            "maxiter": config.mstep_max_iters,
-            "gtol": config.mstep_grad_tol,
-            "ftol": 1e-14,
-        },
+    result = minimize(neg_q, params0, maxiter=config.mstep_max_iters, gtol=config.mstep_grad_tol, ftol=FTOL)
+    keep = not np.isfinite(result.fun) or -result.fun < q0 - 1e-9
+    _log_outcome("M-step", result, " (kept the start point: Q would fall)" if keep else "")
+    return params0 if keep else result.x
+
+
+def _log_outcome(what, result, note=""):
+    logger.debug(
+        "%s: nit=%d nfev=%d grad_inf=%.6g stop=%s%s",
+        what, result.nit, result.nfev, result.grad_inf, result.stop, note,
     )
-    if not np.isfinite(result.fun) or -result.fun < q0 - 1e-9:
-        return params0
-    return np.asarray(result.x, dtype=np.float64)
 
 
 def m_step(model: FsmModel, clamped_counts: np.ndarray, corpus, config: TrainConfig) -> np.ndarray:
@@ -352,16 +344,10 @@ def direct_train(model: FsmModel, corpus, config: TrainConfig) -> TrainState:
         lines.append(_log_line(iteration[0], loglik, grad, t0))
 
     cap = max(1, config.em_max_iters) * max(1, config.mstep_max_iters)
-    result = minimize(
-        neg_l,
-        params,
-        jac=True,
-        method="L-BFGS-B",
-        callback=track,
-        options={"maxiter": cap, "gtol": config.mstep_grad_tol, "ftol": 1e-14},
-    )
+    result = minimize(neg_l, params, maxiter=cap, gtol=config.mstep_grad_tol, ftol=FTOL, callback=track)
+    _log_outcome("direct ascent", result)
     return TrainState(
-        params=np.asarray(result.x, dtype=np.float64),
+        params=result.x,
         history=tuple(history),
         log_lines=tuple(lines),
     )

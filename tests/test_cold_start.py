@@ -1,5 +1,5 @@
-"""Importing the package, scoring, aligning and generating pairs load no
-SciPy; the optimizer is imported by the first M-step.
+"""Importing the package, scoring, aligning, generating pairs and training
+(soft EM, hard EM and direct) load no SciPy.
 
 The checks run in a fresh interpreter, because this process has already
 imported SciPy through the test fixtures.
@@ -22,7 +22,7 @@ def scipy_modules():
 import editcrf, editcrf.cli
 from editcrf import (
     LabeledPair, Record, SamplingConfig, TrainConfig, build_model,
-    em_train, generate_pairs, posterior_match, score_pairs,
+    direct_train, em_train, generate_pairs, posterior_match, score_pairs,
 )
 
 seen = {"import": scipy_modules()}
@@ -39,13 +39,17 @@ records = [Record("a1", "a", "anna smith"), Record("a2", "a", "ana smith"),
            Record("b1", "b", "john brown"), Record("b2", "b", "jon brown")]
 generate_pairs(records, SamplingConfig(ratio=1, filter="jaro-top"))
 seen["inference"] = scipy_modules()
-em_train(model, pairs, TrainConfig(em_max_iters=1, mstep_max_iters=2))
-seen["optimizer"] = "scipy.optimize" in sys.modules
+config = TrainConfig(em_max_iters=1, mstep_max_iters=2)
+for inference in ("fb", "viterbi"):
+    state = em_train(model, pairs, config, inference=inference)
+    seen[f"em {inference}"] = [scipy_modules(), len(state.history)]
+state = direct_train(model, pairs, config)
+seen["direct"] = [scipy_modules(), len(state.history)]
 print(json.dumps(seen))
 """
 
 
-def test_cold_start_loads_no_scipy_until_training():
+def test_cold_start_loads_no_scipy():
     path = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     out = subprocess.run(
@@ -54,4 +58,8 @@ def test_cold_start_loads_no_scipy_until_training():
     seen = json.loads(out.stdout.splitlines()[-1])
     assert seen["import"] == []
     assert seen["inference"] == []
-    assert seen["optimizer"]
+    for run in ("em fb", "em viterbi", "direct"):
+        modules, history = seen[run]
+        assert modules == [], run
+        # Each run took at least one step, so the optimizer ran.
+        assert history >= 2, run

@@ -1,8 +1,9 @@
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
 
 from editcrf import (
     BeamConfig,
@@ -316,13 +317,14 @@ def test_soft_em_m_step_starts_from_the_e_step_pass(monkeypatch):
     """Each soft-EM iteration runs one E-step pass and one pass per L-BFGS
     evaluation except the first, at the point the E-step has just done."""
     passes, nfev = [], []
+    lbfgs = training.minimize
 
     def counting_expectations(*args, **kwargs):
         passes.append("e" if kwargs.get("labels") is not None else "m")
         return expectations(*args, **kwargs)
 
     def counting_minimize(*args, **kwargs):
-        result = minimize(*args, **kwargs)
+        result = lbfgs(*args, **kwargs)
         nfev.append(result.nfev)
         return result
 
@@ -429,3 +431,17 @@ def test_train_config_validation():
         TrainConfig(em_tol=0.0)
     with pytest.raises(ValueError):
         TrainConfig(beam=0)
+
+
+def test_each_m_step_logs_its_outcome(caplog):
+    """One DEBUG line per M-step names its iterations, evaluations, final
+    gradient norm and why it stopped; a capped M-step reads stop=maxiter."""
+    caplog.set_level(logging.DEBUG, logger="editcrf.training")
+    for inference in ("fb", "viterbi"):
+        caplog.clear()
+        state = em_train(build_model(OPS3), small_mixed(), TrainConfig(em_max_iters=2, mstep_max_iters=3),
+                         inference=inference)
+        lines = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+        assert len(lines) == len(state.history) - 1 == 2
+        for line in lines:
+            assert re.fullmatch(r"M-step: nit=3 nfev=\d+ grad_inf=\S+ stop=maxiter", line), line
