@@ -34,7 +34,6 @@ from .errors import (
 )
 from .evaluation import (
     Variant,
-    _match_posteriors,
     ablation_table_text,
     ablation_table_tsv,
     accuracy_coverage,
@@ -47,7 +46,7 @@ from .evaluation import (
 )
 from .features import build_lexicon, normalize_predicates, LexiconSet
 from .engine import Batch
-from .lattice import _BestPaths
+from .lattice import _BestPaths, match_posteriors
 from .model import FIRST_ORDER, SECOND_ORDER, build_model, load_model, save_model
 from .training import TrainConfig, direct_train, em_train
 
@@ -235,7 +234,6 @@ def _train_config(args) -> TrainConfig:
         mstep_max_iters=args.mstep_iters,
         mstep_grad_tol=args.mstep_grad_tol,
         beam=args.beam,
-        seed=args.seed,
     )
 
 
@@ -345,7 +343,8 @@ def cmd_score(args) -> int:
     probs = np.full(len(pairs), np.nan)
     live = [k for k, p in enumerate(pairs) if p.x or p.y]
     if live:
-        _, total, p_match = _match_posteriors(model, [pairs[k] for k in live], args.inference, args.beam)
+        batch = Batch(model, [(pairs[k].x, pairs[k].y) for k in live])
+        total, p_match = match_posteriors(batch, args.inference, args.beam)
         probs[live] = np.where(np.isfinite(total), p_match, np.nan)
     for p, prob in zip(pairs, probs):
         if np.isnan(prob):
@@ -451,7 +450,7 @@ def cmd_align(args) -> int:
     wanted = [args.subset] if args.subset != "best" else [higher]
     for name in wanted:
         z = 1 if name == "match" else 0
-        alignment, _ = paths.alignment(0, z)
+        alignment = paths.alignment(0, z)
         print(f"[{name}]")
         for line in render_alignment_grid(args.x, args.y, alignment):
             print(line)

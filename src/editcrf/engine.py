@@ -50,9 +50,10 @@ be used from several threads at once.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,26 +64,15 @@ from .model import FsmModel
 NEG_INF = -np.inf
 
 
-def beam_width(beam: "Beam") -> Optional[int]:
-    """Width of a beam given as an int, a :class:`BeamConfig` or None
-    (exact inference), checked."""
-    width = beam.width if isinstance(beam, BeamConfig) else beam
-    if width is not None and width < 1:
+def beam_width(beam: Optional[int]) -> Optional[int]:
+    """Width of a beam, checked: an int >= 1, or None for exact inference."""
+    if beam is None:
+        return None
+    if isinstance(beam, bool) or not isinstance(beam, numbers.Integral):
+        raise ValueError(f"beam width must be an integer or None, got {beam!r}")
+    if beam < 1:
         raise ValueError("beam width must be >= 1 when finite")
-    return width
-
-
-@dataclass(frozen=True)
-class BeamConfig:
-    """Per-anti-diagonal pruning width; None means unlimited (exact)."""
-
-    width: Optional[int] = None
-
-    def __post_init__(self):
-        beam_width(self.width)
-
-
-Beam = Union[int, BeamConfig, None]
+    return beam
 
 
 def _ragged(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -625,7 +615,7 @@ class Batch:
         cut[self.acc0] = cut[self.acc1] = False
         return cut
 
-    def forward(self, w: np.ndarray, beam: Beam = None) -> Tuple[np.ndarray, bool]:
+    def forward(self, w: np.ndarray, beam: Optional[int] = None) -> Tuple[np.ndarray, bool]:
         """Forward pass; returns (alpha, pruned_mass_flag).
 
         With a finite beam, the exact sweep ranks the nodes, and a second
@@ -766,7 +756,7 @@ def expectations(
     batch: Batch,
     params: np.ndarray,
     labels: Optional[np.ndarray] = None,
-    beam: Beam = None,
+    beam: Optional[int] = None,
     want_counts: bool = True,
     per_pair: bool = False,
 ) -> Expectations:

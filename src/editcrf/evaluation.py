@@ -17,7 +17,7 @@ from .data import LabeledPair, split_pairs
 from .engine import Batch
 from .errors import EditCrfError
 from .features import build_lexicon
-from .lattice import _BestPaths
+from .lattice import match_posteriors
 from .model import FIRST_ORDER, FsmModel, build_model
 from .training import TrainConfig, em_train
 
@@ -137,30 +137,15 @@ def fold_report(fold_scores: Sequence[Sequence[Scored]], threshold: float = 0.5)
 
 
 def score_pairs(
-    model: FsmModel, pairs: Sequence[LabeledPair], inference: str = "fb", beam=None
+    model: FsmModel, pairs: Sequence[LabeledPair], inference: str = "fb", beam: Optional[int] = None
 ) -> List[Scored]:
     """Match posteriors for a pair list, in input order."""
     if not pairs:
         return []
-    batch, total, probs = _match_posteriors(model, pairs, inference, beam)
+    batch = Batch(model, [(p.x, p.y) for p in pairs], pair_ids=[p.pair_id for p in pairs])
+    total, probs = match_posteriors(batch, inference, beam)
     batch.check_paths(total, "either subset")
     return [(p.pair_id, float(pr), p.z) for p, pr in zip(pairs, probs)]
-
-
-def _match_posteriors(model: FsmModel, pairs: Sequence[LabeledPair], inference: str, beam):
-    """One batched pass: the batch, each pair's total log mass (not finite
-    when the pair has no complete alignment) and its p_match."""
-    if inference not in ("fb", "viterbi"):
-        raise ValueError("inference must be 'fb' or 'viterbi'")
-    batch = Batch(model, [(p.x, p.y) for p in pairs], pair_ids=[p.pair_id for p in pairs])
-    w = batch.edge_weights(model.params)
-    if inference == "fb":
-        lz0, lz1 = batch.log_partitions(batch.forward(w, beam)[0])
-    else:
-        lz0, lz1 = _BestPaths(batch, w).subset_scores()
-    total = np.logaddexp(lz0, lz1)
-    with np.errstate(invalid="ignore"):
-        return batch, total, np.exp(lz1 - total)
 
 
 def apply_transitive_closure(

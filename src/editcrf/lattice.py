@@ -1,22 +1,23 @@
-"""Exact inference over the (i, j, state) edit lattice of one string pair.
+"""Exact inference over the (i, j, state) edit lattice of string pairs.
 
 Masses and scores live in natural-log space.  One anti-diagonal forward
 sweep runs in two semirings.  In log-sum it totals alignment mass, and
-expected feature counts come from its adjoint (see :mod:`editcrf.engine`);
-the log-space backward pass fills beta for :func:`backward`.  In max it
-scores best paths, and the edges whose sums reach their end node exactly
-give the single best alignment.  Ties go to the shortest alignment, then
-the smallest operation-name sequence, then the smallest state-id sequence.
-A brute-force enumerator over tiny inputs serves as an independent oracle.
+expected feature counts come from its adjoint (see :mod:`editcrf.engine`).
+In max it scores best paths, and the edges whose sums reach their end node
+exactly give the single best alignment.  Ties go to the shortest alignment,
+then the smallest operation-name sequence, then the smallest state-id
+sequence.  Every single-pair query is the batched code run on a one-pair
+:class:`Batch`.  A brute-force enumerator over tiny inputs serves as an
+independent oracle.
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 from . import edits
-from .engine import MAX, Batch, BeamConfig, expectations
+from .engine import MAX, Batch, expectations
 from .errors import DegenerateInputError, NoPathError
 from .features import extract
 from .model import Q0, FsmModel
@@ -39,42 +40,13 @@ class Alignment:
     score: float
 
 
-class Lattice:
-    """Forward (and optionally backward) tables for one pair."""
+class Lattice(NamedTuple):
+    """Forward table of one pair: its one-pair batch, alpha, and whether a
+    beam cut a node with finite mass."""
 
-    def __init__(self, model: FsmModel, x: str, y: str, beam=None):
-        self.model = model
-        self.x = x
-        self.y = y
-        self.beam = beam
-        self.batch = Batch(model, [(x, y)])
-        self.w = self.batch.edge_weights(model.params)
-        self.alpha, self.pruned = self.batch.forward(self.w, self.beam)
-        self.beta: Optional[np.ndarray] = None
-
-    def run_backward(self) -> "Lattice":
-        if self.beta is None:
-            self.beta = self.batch.backward(self.w)
-        return self
-
-    def _node(self, i: int, j: int, state: int) -> Optional[int]:
-        b = self.batch
-        if state == Q0:
-            return 0 if (i, j) == (0, 0) else None
-        s_idx = b.runtime.state_index.get(state)
-        if s_idx is None or not (0 <= i <= b.nx[0] and 0 <= j <= b.ny[0]):
-            return None
-        return 1 + (i * (int(b.ny[0]) + 1) + j) * len(b.runtime.states) + s_idx
-
-    def alpha_at(self, i: int, j: int, state: int) -> float:
-        node = self._node(i, j, state)
-        return float(self.alpha[node]) if node is not None else -np.inf
-
-    def beta_at(self, i: int, j: int, state: int) -> float:
-        if self.beta is None:
-            raise ValueError("backward pass has not been run")
-        node = self._node(i, j, state)
-        return float(self.beta[node]) if node is not None else -np.inf
+    batch: Batch
+    alpha: np.ndarray
+    pruned: bool
 
 
 def log_potential(model: FsmModel, x, y, i, j, landing, from_state, op, to_state) -> float:
@@ -86,14 +58,10 @@ def log_potential(model: FsmModel, x, y, i, j, landing, from_state, op, to_state
     return float(sum(model.params[fid] * v for fid, v in vec.items()))
 
 
-def forward(model: FsmModel, x: str, y: str, beam=None) -> Lattice:
+def forward(model: FsmModel, x: str, y: str, beam: Optional[int] = None) -> Lattice:
     """Fill alpha in anti-diagonal order; exact when beam is unlimited."""
-    return Lattice(model, x, y, beam=beam)
-
-
-def backward(model: FsmModel, x: str, y: str) -> Lattice:
-    """Forward plus backward tables (beta = 0 at accepting nodes)."""
-    return Lattice(model, x, y).run_backward()
+    batch = Batch(model, [(x, y)])
+    return Lattice(batch, *batch.forward(batch.edge_weights(model.params), beam))
 
 
 def log_partition(lattice: Lattice) -> float:
@@ -114,14 +82,31 @@ def constrained_log_partition(lattice: Lattice, z: int) -> float:
     return value
 
 
-def posterior_match(model: FsmModel, x: str, y: str, beam=None) -> float:
+def posterior_match(model: FsmModel, x: str, y: str, beam: Optional[int] = None) -> float:
     """p(match | x, y): the S1 share of total alignment mass."""
-    lattice = forward(model, x, y, beam=beam)
-    lz0, lz1 = lattice.batch.log_partitions(lattice.alpha)
-    total = np.logaddexp(lz0[0], lz1[0])
-    if not np.isfinite(total):
+    total, p = match_posteriors(Batch(model, [(x, y)]), beam=beam)
+    if not np.isfinite(total[0]):
         raise NoPathError("no complete alignment reaches an accepting node")
-    return float(np.exp(lz1[0] - total))
+    return float(p[0])
+
+
+def match_posteriors(
+    batch: Batch, inference: str = "fb", beam: Optional[int] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Each pair's total log mass, not finite when the pair has no complete
+    alignment, and its p(match) under the batch's model: the S1 share of
+    alignment mass under "fb", of exponentiated best-path scores under
+    "viterbi", which ignores the beam."""
+    if inference not in ("fb", "viterbi"):
+        raise ValueError("inference must be 'fb' or 'viterbi'")
+    w = batch.edge_weights(batch.model.params)
+    if inference == "fb":
+        lz0, lz1 = batch.log_partitions(batch.forward(w, beam)[0])
+    else:
+        lz0, lz1 = _BestPaths(batch, w).subset_scores()
+    total = np.logaddexp(lz0, lz1)
+    with np.errstate(invalid="ignore"):
+        return total, np.exp(lz1 - total)
 
 
 def expected_feature_counts(
@@ -199,14 +184,13 @@ class _BestPaths:
             k = parent[self.batch.src[out[-1]]]
         return np.concatenate(out)
 
-    def alignment(self, pair: int, constraint: Constraint) -> Tuple[Alignment, List[int]]:
-        """A pair's best alignment under the constraint, and its edges."""
+    def alignment(self, pair: int, constraint: Constraint) -> Alignment:
+        """A pair's best alignment under the constraint."""
         node = self.best_nodes(constraint)[pair]
         if node < 0:
             raise NoPathError(f"no complete alignment under constraint {constraint!r}")
-        ks = self._path(self.parents()[node])
-        ops, ix, iy, states = zip(*[self._step(k) for k in ks])
-        return Alignment(ops, ix, iy, states, score=float(self.score[node])), ks
+        ops, ix, iy, states = zip(*[self._step(k) for k in self._path(self.parents()[node])])
+        return Alignment(ops, ix, iy, states, score=float(self.score[node]))
 
     def _path(self, k: int) -> List[int]:
         """Edges of the path that ends with edge k, following parents back."""
@@ -237,34 +221,7 @@ def viterbi(model: FsmModel, x: str, y: str, constraint: Constraint = "all") -> 
     lexicographically by operation-name sequence, then by state ids.
     """
     batch = Batch(model, [(x, y)])
-    return viterbi_on_batch(batch, batch.edge_weights(model.params), constraint)[0]
-
-
-def viterbi_on_batch(
-    batch: Batch, w: np.ndarray, constraint: Constraint = "all"
-) -> Tuple[Alignment, List[int]]:
-    """Max-product pass over a single-pair batch with explicit potentials.
-
-    Returns the best alignment and the indices of its batch edges, which
-    lets callers accumulate feature counts without re-extraction.
-    """
-    return _BestPaths(batch, w).alignment(0, constraint)
-
-
-def viterbi_subset_scores(model: FsmModel, x: str, y: str) -> Tuple[float, float]:
-    """Best-path log-scores in (S0, S1); -inf when a subset has no path."""
-    batch = Batch(model, [(x, y)])
-    v0, v1 = _BestPaths(batch, batch.edge_weights(model.params)).subset_scores()
-    return float(v0[0]), float(v1[0])
-
-
-def viterbi_match_score(model: FsmModel, x: str, y: str) -> float:
-    """Match probability from the ratio of best-path exponentiated scores."""
-    v0, v1 = viterbi_subset_scores(model, x, y)
-    total = np.logaddexp(v0, v1)
-    if not np.isfinite(total):
-        raise NoPathError("no complete alignment in either subset")
-    return float(np.exp(v1 - total))
+    return _BestPaths(batch, batch.edge_weights(model.params)).alignment(0, constraint)
 
 
 def alignment_feature_counts(model: FsmModel, x: str, y: str, alignment: Alignment) -> np.ndarray:

@@ -23,7 +23,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from . import edits
-from .engine import Batch, Beam, Expectations, beam_width, expectations
+from .engine import Batch, Expectations, beam_width, expectations
 from .errors import NumericalError
 from .lattice import _BestPaths
 from .model import FsmModel
@@ -85,8 +85,7 @@ class TrainConfig:
     mstep_max_iters: int = 50
     mstep_grad_tol: float = 1e-4
     init: Optional[InitScheme] = None
-    beam: Beam = None
-    seed: int = 0
+    beam: Optional[int] = None
 
     def __post_init__(self):
         if self.sigma2 <= 0:
@@ -169,18 +168,15 @@ def _loglik_on_batch(batch, labels, params, sigma2=None, beam=None) -> float:
 class EStepResult:
     clamped_total: np.ndarray
     per_pair_counts: Optional[List[np.ndarray]]
-    constrained_logzs: np.ndarray
 
 
 def e_step(model: FsmModel, corpus, keep_per_pair: bool = True) -> EStepResult:
     """Expected feature counts clamped to each pair's true-label subset."""
     batch, labels = _corpus_batch(model, corpus)
     exp = expectations(batch, model.params, labels, want_counts=False, per_pair=keep_per_pair)
-    lz_true = np.where(labels == 1, exp.lz1, exp.lz0)
     return EStepResult(
         clamped_total=exp.counts_clamped,
         per_pair_counts=list(exp.clamped_by_pair) if keep_per_pair else None,
-        constrained_logzs=lz_true,
     )
 
 

@@ -37,7 +37,7 @@ from editcrf import (
 )
 from editcrf.cli import main as cli_main
 from editcrf.engine import Batch, expectations
-from editcrf.lattice import viterbi_on_batch
+from editcrf.lattice import _BestPaths
 from conftest import oracle_terms
 
 IDS = ("insert", "delete", "substitute")
@@ -86,7 +86,7 @@ def sweep():
             for wvec in weights:
                 # Counts come from the path that training runs.
                 exp = expectations(batch, wvec)
-                best, _ = viterbi_on_batch(batch, batch.edge_weights(wvec), "all")
+                best = _BestPaths(batch, batch.edge_weights(wvec)).alignment(0, "all")
                 items.append(
                     SimpleNamespace(
                         x=x,

@@ -10,8 +10,8 @@ from scipy.special import logsumexp
 
 from editcrf import (
     Alignment,
-    BeamConfig,
-    backward,
+    LabeledPair,
+    TrainConfig,
     build_model,
     constrained_log_partition,
     enumerate_alignments,
@@ -20,11 +20,12 @@ from editcrf import (
     log_partition,
     log_potential,
     posterior_match,
+    score_pairs,
     viterbi,
 )
 from editcrf import edits
 from editcrf.data import NoiseConfig, random_person_names, synthesize_names
-from editcrf.engine import MAX, Batch, _Cells, _check_key_width, expectations
+from editcrf.engine import MAX, Batch, _Cells, _check_key_width, beam_width, expectations
 from editcrf.errors import DegenerateInputError, NoPathError
 from editcrf.features import LexiconSet, eval_predicate
 from editcrf.lattice import _BestPaths, alignment_feature_counts
@@ -116,37 +117,51 @@ def test_log_potential_validates_landing(ids_model):
         log_potential(ids_model, "a", "a", 0, 0, (2, 2), 0, "substitute", 2)
 
 
+def _node(batch, i, j, state):
+    """Id of node (i, j, state) of a one-pair batch; q0 is node 0."""
+    if state == Q0:
+        return 0
+    cell = i * (int(batch.ny[0]) + 1) + j
+    return 1 + cell * len(batch.runtime.states) + batch.runtime.state_index[state]
+
+
+def _one_pair_tables(model, x, y):
+    """A one-pair batch with its edge weights, alpha and beta."""
+    batch = Batch(model, [(x, y)])
+    w = batch.edge_weights(model.params)
+    return batch, w, batch.forward(w)[0], batch.backward(w)
+
+
 def test_backward_boundary_and_start_cut(ids_model):
-    lat = backward(ids_model, "a", "b")
+    batch, _, alpha, beta = _one_pair_tables(ids_model, "a", "b")
     for state in (1, 2):
-        assert lat.beta_at(1, 1, state) == 0.0
-    assert lat.alpha_at(0, 0, 0) == 0.0
-    assert lat.beta_at(0, 0, 0) == pytest.approx(math.log(6), abs=1e-12)
+        assert beta[_node(batch, 1, 1, state)] == 0.0
+    assert alpha[_node(batch, 0, 0, Q0)] == 0.0
+    assert beta[_node(batch, 0, 0, Q0)] == pytest.approx(math.log(6), abs=1e-12)
 
 
-def _cut_mass(lat, d):
+def _cut_mass(batch, w, alpha, beta, d):
     """Alpha+beta mass crossing anti-diagonal d: nodes on the diagonal
     plus edges that jump over it."""
-    batch = lat.batch
     nx, ny, n_states = int(batch.nx[0]), int(batch.ny[0]), len(batch.runtime.states)
     terms = []
     for i in range(nx + 1):
         j = d - i
         if not 0 <= j <= ny:
             continue
-        for state in ([0] if d == 0 else []) + list(batch.runtime.states):
-            a = lat.alpha_at(i, j, state)
-            b = lat.beta_at(i, j, state)
+        for state in ([Q0] if d == 0 else []) + list(batch.runtime.states):
+            a = alpha[_node(batch, i, j, state)]
+            b = beta[_node(batch, i, j, state)]
             if np.isfinite(a) and np.isfinite(b):
                 terms.append(a + b)
     dst_cell = (batch.dst - 1) // n_states
     dst_diag = dst_cell // (ny + 1) + dst_cell % (ny + 1)
     spanning = np.flatnonzero((batch.src_diag < d) & (dst_diag > d))
     for k in spanning:
-        a = lat.alpha[batch.src[k]]
-        b = lat.beta[batch.dst[k]]
+        a = alpha[batch.src[k]]
+        b = beta[batch.dst[k]]
         if np.isfinite(a) and np.isfinite(b):
-            terms.append(a + lat.w[k] + b)
+            terms.append(a + w[k] + b)
     return logsumexp(terms)
 
 
@@ -154,10 +169,10 @@ def test_anti_diagonal_cuts_reproduce_log_z(ids_model):
     rng = np.random.default_rng(3)
     model = ids_model.with_params(rng.uniform(-1, 1, ids_model.n_features))
     for x, y in [("ab", "ba"), ("aab", "bb"), ("a", "bbb")]:
-        lat = backward(model, x, y)
-        lz = log_partition(lat)
+        tables = _one_pair_tables(model, x, y)
+        lz = log_partition(forward(model, x, y))
         for d in range(len(x) + len(y) + 1):
-            assert _cut_mass(lat, d) == pytest.approx(lz, abs=1e-9)
+            assert _cut_mass(*tables, d) == pytest.approx(lz, abs=1e-9)
 
 
 def test_expected_counts_match_oracle(ids_model):
@@ -240,7 +255,7 @@ def test_viterbi_tie_break_matches_oracle():
                     want = Alignment(best[4].edits, best[4].ix, best[4].iy, best[4].states, -best[0])
                     got = viterbi(model, x, y, constraint)
                     assert got == want, (ops, params, x, y, constraint)
-                    assert paths.alignment(k, constraint)[0] == got
+                    assert paths.alignment(k, constraint) == got
 
 
 def test_viterbi_score_bounded_by_log_partition(ids_model):
@@ -286,13 +301,17 @@ def test_dp_matches_oracle_small_sweep(ids_model):
                 assert viterbi(model, x, y).score == pytest.approx(
                     terms.viterbi_score(params), rel=1e-9
                 )
+                # Viterbi p(match): the S1 share of exponentiated best-path scores.
+                v0, v1 = terms.viterbi_score(params, 0), terms.viterbi_score(params, 1)
+                [(_, p, _)] = score_pairs(model, [LabeledPair("p", x, y, 0)], inference="viterbi")
+                assert p == pytest.approx(math.exp(v1 - np.logaddexp(v0, v1)), rel=1e-9)
 
 
 def test_unlimited_beam_equals_wide_beam(ids_model):
     rng = np.random.default_rng(7)
     model = ids_model.with_params(rng.uniform(-1, 1, ids_model.n_features))
     exact = forward(model, "ab", "ba")
-    wide = forward(model, "ab", "ba", beam=BeamConfig(width=10_000))
+    wide = forward(model, "ab", "ba", beam=10_000)
     np.testing.assert_array_equal(exact.alpha, wide.alpha)
     assert not wide.pruned
 
@@ -309,7 +328,20 @@ def test_narrow_beam_lower_bounds_mass(ids_model):
 
 def test_beam_width_validation():
     with pytest.raises(ValueError):
-        BeamConfig(width=0)
+        beam_width(0)
+
+
+@pytest.mark.parametrize("width", [2.5, 2.0, True, "2"])
+def test_beam_width_rejects_non_integers(ids_model, width):
+    """A beam width is an int or None; a float or a bool is rejected up
+    front, not deep inside the beam's cut."""
+    with pytest.raises(ValueError, match="beam width must be an integer"):
+        beam_width(width)
+    with pytest.raises(ValueError, match="beam width must be an integer"):
+        score_pairs(ids_model, [LabeledPair("p", "ab", "ba", 1)], beam=width)
+    with pytest.raises(ValueError, match="beam width must be an integer"):
+        TrainConfig(beam=width)
+    assert beam_width(np.int64(2)) == 2
 
 
 def test_no_path_error_under_substitute_only():
