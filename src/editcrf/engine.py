@@ -672,7 +672,11 @@ class Batch:
         ones by 1 on the labelled subset and 0 on the other.
         """
         lz = np.stack((lz0, lz1), axis=1)
-        p = self._subset_posteriors(w, alpha, lz)
+        return self.subset_counts(self._subset_posteriors(w, alpha, lz), lz, logz, labels, by_pair)
+
+    def subset_counts(self, p, lz, logz=None, labels=None, by_pair=False):
+        """The counts of :meth:`posterior_counts` with the per-edge mass p,
+        which is overwritten, in place of the edge posteriors."""
         counts_all = clamped = clamped_by_pair = None
         if logz is not None:
             share = np.exp(lz - logz[:, None])

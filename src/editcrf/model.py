@@ -23,7 +23,7 @@ import numpy as np
 
 from . import edits
 from .errors import ModelFormatError
-from .features import LexiconSet, normalize_predicates
+from .features import PREDICATES, LexiconSet, normalize_predicates
 
 Q0 = 0
 FIRST_ORDER = "first-order"
@@ -68,16 +68,12 @@ class Group(NamedTuple):
 
 class TransitionTable(NamedTuple):
     """The transitions as read-only index rows (from-state index or -1 for
-    q0, op index, to-state index, group, subset), with states indexed S0
-    first, then S1.  The rows of op k start at first[k]: n_from_states[k]
-    rows leaving a state of S0 or S1, then n_from_q0[k] rows leaving q0."""
+    q0, op index, to-state index, group, subset) in topology order, with
+    states indexed S0 first, then S1."""
 
     states: Tuple[int, ...]
     state_index: Mapping[int, int]
     transitions: np.ndarray
-    n_from_states: np.ndarray
-    n_from_q0: np.ndarray
-    first: np.ndarray
 
 
 def build_default_topology(ops: Sequence[str], order: str = FIRST_ORDER) -> FsmTopology:
@@ -199,18 +195,8 @@ class FsmModel:
             ],
             dtype=np.int64,
         ).reshape(-1, 5)
-        from_q0 = rows[:, 0] < 0
-        n_from_states = np.bincount(rows[~from_q0, 1], minlength=len(self.ops))
-        n_from_q0 = np.bincount(rows[from_q0, 1], minlength=len(self.ops))
-        arrays = (
-            rows[np.lexsort((from_q0, rows[:, 1]))],
-            n_from_states,
-            n_from_q0,
-            np.cumsum(n_from_states + n_from_q0) - n_from_states - n_from_q0,
-        )
-        for a in arrays:
-            a.setflags(write=False)
-        return TransitionTable(states, MappingProxyType(state_index), *arrays)
+        rows.setflags(write=False)
+        return TransitionTable(states, MappingProxyType(state_index), rows)
 
     @property
     def n_groups(self) -> int:
@@ -260,7 +246,7 @@ def build_model(
 ) -> FsmModel:
     """Construct a model on the canonical topology with zero weights."""
     topology = build_default_topology(ops, order)
-    preds = normalize_predicates(predicates if predicates is not None else PREDICATE_DEFAULT)
+    preds = normalize_predicates(predicates if predicates is not None else PREDICATES)
     model = FsmModel(
         topology=topology,
         tying=order,
@@ -274,26 +260,6 @@ def build_model(
     if vec.shape != (n,):
         raise ValueError(f"parameter vector must have length {n}, got {vec.shape}")
     return model.with_params(vec)
-
-
-PREDICATE_DEFAULT = tuple(p for p in normalize_predicates(
-    (
-        "same",
-        "different",
-        "same-alphabetic",
-        "different-alphabetic",
-        "same-numeric",
-        "different-numeric",
-        "punctuation-x",
-        "punctuation-y",
-        "alphabet-mismatch",
-        "number-mismatch",
-        "end-of-x",
-        "end-of-y",
-        "same-next-character",
-        "different-next-character",
-    )
-))
 
 
 def validate(model: FsmModel) -> List[str]:

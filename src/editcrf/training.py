@@ -11,10 +11,14 @@ maximizes
 whose gradient is clamped minus unconstrained expected counts minus the
 prior term.  Each M-step starts from the current weights and never returns
 a worse Q, which makes the outer loop a generalized EM with a monotone
-penalized likelihood.  A direct quasi-Newton mode on the same objective
-and a hard (best-alignment) variant are provided as alternatives.
+penalized likelihood.  Hard EM is the same loop with max in place of sum:
+each subset's best path stands in for its alignment posteriors and its
+score for its log-partition, so it fills the same expectations and runs
+the same E-step and M-step.  A direct quasi-Newton mode on the same
+objective is provided as an alternative.
 """
 
+import functools
 import logging
 import time
 from dataclasses import dataclass
@@ -180,11 +184,36 @@ def e_step(model: FsmModel, corpus, keep_per_pair: bool = True) -> EStepResult:
     )
 
 
+def _inference_pass(config: TrainConfig, inference: str = "fb"):
+    """The pass that fills a training mode's Expectations: alignment
+    posteriors within the beam ("fb"), or each subset's best path
+    ("viterbi", which ignores the beam)."""
+    if inference == "viterbi":
+        return _best_path_expectations
+    return functools.partial(expectations, beam=config.beam)
+
+
+def _best_path_expectations(batch, params, labels=None) -> Expectations:
+    """Expectations of hard EM from one max sweep: the subsets' best-path
+    scores as lz0 and lz1, and counts weighting the edges of both best
+    paths as posterior counts weight edge posteriors."""
+    paths = _BestPaths(batch, batch.edge_weights(params))
+    lz = np.stack(paths.subset_scores(), axis=1)
+    batch.check_paths(lz.min(axis=1), "S0 or S1")
+    logz = np.logaddexp(lz[:, 0], lz[:, 1])
+    on_path = np.zeros(batch.n_edges)
+    on_path[paths.path_edges(np.concatenate((paths.best_nodes(0), paths.best_nodes(1))))] = 1.0
+    counts_all, clamped, _ = batch.subset_counts(on_path, lz, logz, labels)
+    return Expectations(lz[:, 0], lz[:, 1], logz, counts_all, clamped, pruned=False)
+
+
 def _mstep_on_batch(
-    batch, clamped: np.ndarray, params0: np.ndarray, config: TrainConfig, start: Optional[Expectations] = None
+    batch, clamped: np.ndarray, params0: np.ndarray, config: TrainConfig, infer,
+    start: Optional[Expectations] = None,
 ) -> np.ndarray:
-    """M-step from params0; start, when given, holds log Z and unconstrained
-    counts at params0, which the E-step has already computed."""
+    """M-step from params0 on the Expectations that infer(batch, params)
+    fills; start, when given, holds log Z and unconstrained counts at
+    params0, which the E-step has already computed."""
     sigma2 = config.sigma2
 
     def objective(params, exp):
@@ -197,7 +226,7 @@ def _mstep_on_batch(
         return -q, -grad
 
     def neg_q(params):
-        return objective(params, expectations(batch, params, beam=config.beam))
+        return objective(params, infer(batch, params))
 
     return _ascend(neg_q, params0, config, None if start is None else objective(params0, start))
 
@@ -238,11 +267,12 @@ def _log_outcome(what, result, note=""):
 def m_step(model: FsmModel, clamped_counts: np.ndarray, corpus, config: TrainConfig) -> np.ndarray:
     """Quasi-Newton ascent on Q given frozen clamped counts."""
     batch, _ = _corpus_batch(model, corpus)
-    return _mstep_on_batch(batch, np.asarray(clamped_counts, dtype=np.float64), model.params, config)
+    clamped = np.asarray(clamped_counts, dtype=np.float64)
+    return _mstep_on_batch(batch, clamped, model.params, config, _inference_pass(config))
 
 
-def _full_gradient(batch, labels, params, sigma2, beam=None):
-    exp = expectations(batch, params, labels=labels, beam=beam, want_counts=True)
+def _full_gradient(batch, labels, params, sigma2, infer):
+    exp = infer(batch, params, labels=labels)
     lz_true = np.where(labels == 1, exp.lz1, exp.lz0)
     batch.check_paths(lz_true, "true-label subset")
     loglik = float(np.sum(lz_true - exp.logz)) - float(np.sum(np.square(params)) / sigma2)
@@ -268,31 +298,23 @@ def em_train(model: FsmModel, corpus, config: TrainConfig, inference: str = "fb"
         )
     params = init_params(model, config.init)
     batch, labels = _corpus_batch(model, corpus)
-    if inference == "viterbi":
-        e_terms, ascend = _hard_em(batch, labels, config)
-    else:
-        def e_terms(p):
-            return _full_gradient(batch, labels, p, config.sigma2, config.beam)
-
-        def ascend(exp, p):
-            # The E-step's pass at p is also the M-step's start point.
-            return _mstep_on_batch(batch, exp.counts_clamped, p, config, start=exp)
-
+    infer = _inference_pass(config, inference)
     history: List[Tuple[int, float]] = []
     lines: List[str] = []
     t0 = time.perf_counter()
-    loglik, grad, estep = e_terms(params)
+    loglik, grad, estep = _full_gradient(batch, labels, params, config.sigma2, infer)
     history.append((0, loglik))
     lines.append(_log_line(0, loglik, grad, t0))
     for it in range(1, config.em_max_iters + 1):
         try:
-            new_params = ascend(estep, params)
+            # The E-step's pass at params is also the M-step's start point.
+            new_params = _mstep_on_batch(batch, estep.counts_clamped, params, config, infer, start=estep)
         except NumericalError as exc:
             logger.warning("M-step failed at iteration %d: %s; keeping last state", it, exc)
             break
         params = new_params
         prev = loglik
-        loglik, grad, estep = e_terms(params)
+        loglik, grad, estep = _full_gradient(batch, labels, params, config.sigma2, infer)
         history.append((it, loglik))
         lines.append(_log_line(it, loglik, grad, t0))
         if loglik - prev < config.em_tol * abs(prev) and loglik >= prev - 1e-9:
@@ -320,7 +342,8 @@ def direct_train(model: FsmModel, corpus, config: TrainConfig) -> TrainState:
 
     # L-BFGS reports each iterate to the callback right after it was
     # evaluated there, so the callback reuses that evaluation.
-    evaluate = _memo_last(lambda p: _full_gradient(batch, labels, p, sigma2, config.beam)[:2])
+    infer = _inference_pass(config)
+    evaluate = _memo_last(lambda p: _full_gradient(batch, labels, p, sigma2, infer)[:2])
 
     def neg_l(p):
         loglik, grad = evaluate(p)
@@ -349,46 +372,6 @@ def direct_train(model: FsmModel, corpus, config: TrainConfig) -> TrainState:
     )
 
 
-# -- hard (best-alignment) variant ------------------------------------
-
-
-def _hard_terms(batch, params):
-    """Best-path scores (n_pairs, 2) and best-path feature counts per pair in S0 and S1."""
-    paths = _BestPaths(batch, batch.edge_weights(params))
-    v = np.stack(paths.subset_scores(), axis=1)
-    batch.check_paths(v.min(axis=1), "S0 or S1")
-    on_path = (paths.path_edges(paths.best_nodes(z)) for z in (0, 1))
-    return v, [batch.counts_by_pair(np.bincount(k, minlength=batch.n_edges)) for k in on_path]
-
-
-def _hard_em(batch, labels, config: TrainConfig):
-    """E-step terms and M-step of hard EM, where each subset's best path
-    stands in for its expected counts and log-partition."""
-    sigma2 = config.sigma2
-
-    def e_terms(p):
-        v, (c0, c1) = _hard_terms(batch, p)
-        lse = np.logaddexp(v[:, 0], v[:, 1])
-        vz = v[np.arange(len(labels)), labels]
-        loglik = float(np.sum(vz - lse)) - float(np.sum(np.square(p)) / sigma2)
-        return loglik, np.zeros(1), np.sum(np.where(labels[:, None] == 1, c1, c0), axis=0)
-
-    def ascend(clamped, params):
-        def neg_q(p):
-            vv, (c0, c1) = _hard_terms(batch, p)
-            lse = np.logaddexp(vv[:, 0], vv[:, 1])
-            q = float(clamped @ p - np.sum(lse) - np.sum(np.square(p)) / sigma2)
-            post = np.exp(vv - lse[:, None])
-            # Rows are C-ordered, so np.sum adds the pairs one after another.
-            mean = np.sum(post[:, :1] * c0 + post[:, 1:] * c1, axis=0)
-            grad = clamped - mean - 2.0 * p / sigma2
-            return -q, -grad
-
-        return _ascend(neg_q, params, config)
-
-    return e_terms, ascend
-
-
 def grad_check(
     model: FsmModel,
     corpus,
@@ -413,7 +396,7 @@ def grad_check(
         )
     batch, labels = _corpus_batch(model, corpus)
     params = model.params.copy()
-    _, grad, _ = _full_gradient(batch, labels, params, sigma2)
+    _, grad, _ = _full_gradient(batch, labels, params, sigma2, expectations)
     worst = 0.0
     for k in range(len(params)):
         step = np.zeros_like(params)

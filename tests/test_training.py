@@ -24,6 +24,7 @@ from editcrf import (
 )
 from editcrf import training
 from editcrf.engine import Batch, expectations
+from editcrf.lattice import _BestPaths, alignment_feature_counts, viterbi
 from conftest import oracle_terms
 
 OPS3 = ["insert", "delete", "substitute"]
@@ -341,7 +342,9 @@ def test_soft_em_start_point_reuse_changes_nothing(monkeypatch):
     reused = em_train(model, corpus, config)
     mstep = training._mstep_on_batch
     monkeypatch.setattr(
-        training, "_mstep_on_batch", lambda batch, clamped, p, config, start=None: mstep(batch, clamped, p, config)
+        training,
+        "_mstep_on_batch",
+        lambda batch, clamped, p, config, infer, start=None: mstep(batch, clamped, p, config, infer),
     )
     fresh = em_train(model, corpus, config)
     np.testing.assert_array_equal(reused.params, fresh.params)
@@ -392,6 +395,103 @@ def test_viterbi_mode_trains_and_improves():
     scores = score_pairs(trained, corpus, inference="viterbi")
     counts = classify(scores, 0.5)
     assert counts.tp == 10 and counts.tn == 10
+
+
+def _best_path_terms(model, corpus, params):
+    """Hard-EM counts from one-pair viterbi calls: the sum of each pair's
+    labelled best-path counts, and that of both best paths' counts weighted
+    by softmax(v0, v1)."""
+    model = model.with_params(params)
+    clamped, mean = np.zeros(model.n_features), np.zeros(model.n_features)
+    for pair in corpus:
+        paths = [viterbi(model, pair.x, pair.y, z) for z in (0, 1)]
+        counts = [alignment_feature_counts(model, pair.x, pair.y, a) for a in paths]
+        v = np.array([a.score for a in paths])
+        share = np.exp(v - np.logaddexp(v[0], v[1]))
+        clamped += counts[pair.z]
+        mean += share[0] * counts[0] + share[1] * counts[1]
+    return clamped, mean
+
+
+def mixed_longer():
+    return small_mixed() + [
+        LabeledPair("p3", "abba", "abb", 1),
+        LabeledPair("n2", "bab", "aab", 0),
+        LabeledPair("n3", "ba", "abab", 0),
+    ]
+
+
+def test_hard_em_log_lines_report_the_gradient_norm():
+    """grad_inf on a hard-EM line is ||clamped - counts_all - 2p/sigma2||_inf
+    of the best-path objective at that line's weights."""
+    model, corpus, config = build_model(OPS3), mixed_longer(), TrainConfig(em_max_iters=2, mstep_max_iters=5)
+    state = em_train(model, corpus, config, inference="viterbi")
+    for line, params in ((state.log_lines[0], init_params(model)), (state.log_lines[-1], state.params)):
+        clamped, mean = _best_path_terms(model, corpus, params)
+        expected = np.abs(clamped - mean - 2.0 * params / config.sigma2).max()
+        reported = float(re.search(r"grad_inf=(\S+)", line).group(1))
+        assert expected > 0
+        assert reported == pytest.approx(expected, rel=1e-5), line
+
+
+def test_hard_em_m_step_starts_from_the_e_step_pass(monkeypatch):
+    """Each hard-EM iteration runs one best-path sweep for its E-step and
+    one per L-BFGS evaluation except the first, at the E-step's point."""
+    sweeps, nfev = [0], []
+    lbfgs = training.minimize
+
+    class CountingPaths(_BestPaths):
+        def __init__(self, *args):
+            sweeps[0] += 1
+            super().__init__(*args)
+
+    def counting_minimize(*args, **kwargs):
+        result = lbfgs(*args, **kwargs)
+        nfev.append(result.nfev)
+        return result
+
+    monkeypatch.setattr(training, "_BestPaths", CountingPaths)
+    monkeypatch.setattr(training, "minimize", counting_minimize)
+    config = TrainConfig(em_max_iters=3, mstep_max_iters=5)
+    state = em_train(build_model(OPS3), mixed_longer(), config, inference="viterbi")
+    iters = len(state.history) - 1
+    assert iters >= 2 and len(nfev) == iters
+    assert sweeps[0] == (iters + 1) + (sum(nfev) - iters)
+
+
+@pytest.mark.parametrize("order", ["first-order", "second-order"])
+def test_best_path_counts_are_the_gradient_of_best_path_log_z(order):
+    """Best-path scores are linear in the weights away from ties, so the
+    unconstrained counts equal central differences of sum logaddexp(v0, v1)."""
+    model = build_model(OPS3, order=order)
+    params = np.random.default_rng(3).standard_normal(model.n_features)
+    batch = Batch(model, [(p.x, p.y) for p in mixed_longer()])
+    exp = training._best_path_expectations(batch, params)
+
+    def total(w):
+        return np.sum(np.logaddexp(*_BestPaths(batch, batch.edge_weights(w)).subset_scores()))
+
+    h, fd = 1e-6, np.zeros(model.n_features)
+    for k in range(model.n_features):
+        step = np.zeros(model.n_features)
+        step[k] = h
+        fd[k] = (total(params + step) - total(params - step)) / (2 * h)
+    assert np.abs(exp.counts_all).max() > 0.5
+    np.testing.assert_allclose(exp.counts_all, fd, rtol=0, atol=1e-7)
+    np.testing.assert_array_equal(exp.logz, np.logaddexp(exp.lz0, exp.lz1))
+
+
+@pytest.mark.parametrize("order", ["first-order", "second-order"])
+def test_best_path_clamped_counts_are_the_labelled_alignments_counts(order):
+    model = build_model(OPS3, order=order)
+    corpus = mixed_longer()
+    labels = np.array([p.z for p in corpus])
+    batch = Batch(model, [(p.x, p.y) for p in corpus])
+    for params in (init_params(model), np.random.default_rng(4).standard_normal(model.n_features)):
+        exp = training._best_path_expectations(batch, params, labels)
+        clamped, mean = _best_path_terms(model, corpus, params)
+        np.testing.assert_array_equal(exp.counts_clamped, clamped)
+        np.testing.assert_allclose(exp.counts_all, mean, rtol=1e-12, atol=1e-12)
 
 
 def test_grad_check_small_corpus():
