@@ -6,17 +6,18 @@ nodes can be processed one anti-diagonal at a time, and a whole corpus of
 pairs can share a single sweep: edges of all pairs are merged and sorted by
 anti-diagonal.
 
-Every pass runs through one sweep routine over per-diagonal steps of one
-direction, in one of three semirings, and both directions pull: forward
-steps, in ascending destination diagonals, read sources and write
+Every pass runs through one sweep routine over one schedule of steps,
+one step per destination diagonal, in one of three semirings.  Forward,
+the steps run in ascending diagonals, read sources and scatter into
 destinations (log-sum for alignment mass, max for best-path scores);
-backward steps, in descending source diagonals, read destinations and
-write sources (log-sum for beta, product-sum for the adjoint).  A step
-only reads nodes that earlier steps finished, and all the edges that
-write one node form one run of one step, so each node is written exactly
-once, by one segmented reduce whose per-edge run indices are compiled
-with the schedule.  A beam reruns the forward sweep with the cut nodes'
-outgoing potentials at -inf.
+walked backwards, the same steps read destinations and scatter into
+sources (log-sum for beta, product-sum for the adjoint).  A node's
+in-edges all lie in the step of its own diagonal and its out-edges in
+later ones, so in either direction a node is complete before a step
+reads it.  A semiring's plus is NumPy's unbuffered ``ufunc.at`` scatter,
+which folds the values into each node in edge order; a forward log-sum
+scatters each node's max first and adds exps shifted by it.  A beam
+reruns the forward sweep with the cut nodes' outgoing potentials at -inf.
 
 Expected feature counts are the gradient of log Z.  They come from the
 log-space forward alone plus one backward product-sum sweep in
@@ -28,14 +29,18 @@ backward sweep serves only callers that read beta.
 A batch is compiled in one pass over all of its pairs.  Their strings are
 concatenated once, every (i, j) cell of every pair is one row of a flat
 cell table whose predicate bits are computed together, and each
-operation's edges are emitted for all pairs at once.  One argsort of a
-unique int64 key puts the edges in forward order; a batch too large for
-that key raises ValueError.  The backward order, which only the backward
-sweeps read, is a second argsort made on first use, as are the per-edge
-arrays that only training and Viterbi read, so fb scoring never builds them.
-A batch therefore costs a fixed number of NumPy calls, a few hundred
-microseconds, plus time that grows with its edges, whether it holds one
-pair or thousands; single-pair queries pay the fixed part each time.
+operation's edges are emitted for all pairs at once, by transition, then
+by cell.  One stable sort of the edges' destination diagonals, in the
+narrowest unsigned type that holds them (a radix sort up to 65,536
+diagonals), puts them in forward order, and the emission order holds
+within a diagonal.  So every pair's edges keep, relative to each other,
+the order they have in a batch of that pair alone, and a pair's results
+do not depend on the other pairs of its batch, bit for bit.  The per-edge
+arrays that only training and Viterbi read are made on first use, so fb
+scoring never builds them.  A batch therefore costs a fixed number of
+NumPy calls, a few hundred microseconds, plus time that grows with its
+edges, whether it holds one pair or thousands; single-pair queries pay
+the fixed part each time.
 
 Edges carry a signature id standing for their active feature-id set, a
 (parameter group, predicate mask) pair.  Signature ids belong to the batch:
@@ -49,11 +54,10 @@ quantity is deterministic for a given model and corpus, and one model may
 be used from several threads at once.
 """
 
-import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -301,9 +305,9 @@ class _Cells:
         return cells[:, 0], cells[:, 1]
 
 
-# The most negative finite float: a segment whose terms are all -inf is
-# shifted by it instead of by its max, so its exps are 0 and its log-sum
-# comes out -inf without a -inf - -inf.
+# The most negative finite float: a node whose terms are all -inf is
+# shifted by it instead of by their max, so their exps are 0 and its
+# log-sum comes out -inf without a -inf - -inf.
 _FLOOR = np.finfo(np.float64).min
 
 
@@ -322,57 +326,9 @@ def _segment_logsumexp(vals: np.ndarray, starts: np.ndarray, run: np.ndarray) ->
     return sums
 
 
-def _segment_max(vals: np.ndarray, starts: np.ndarray, run: np.ndarray) -> np.ndarray:
-    """Max over the contiguous runs of vals that begin at starts."""
-    return np.maximum.reduceat(vals, starts)
-
-
-def _segment_sum(vals: np.ndarray, starts: np.ndarray, run: np.ndarray) -> np.ndarray:
-    """Sum over the contiguous runs of vals, added in order within each run."""
-    return np.bincount(run, weights=vals, minlength=len(starts))
-
-
-_Step = Tuple[int, int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
-def _diagonal_bounds(diag: np.ndarray) -> np.ndarray:
-    """Edge offsets at which each diagonal's run begins, and the end, for
-    edges sorted by the given diagonals."""
-    counts = np.bincount(diag)
-    return np.concatenate(([0], np.cumsum(counts[counts > 0])))
-
-
-def _steps(bounds: np.ndarray, read: np.ndarray, write: np.ndarray) -> List[_Step]:
-    """Per-diagonal steps of one sweep order, whose edges run by diagonal,
-    between the given bounds, then by the node they write, so that each
-    node is written by one run of one step.  A step is a diagonal's edge
-    range lo:hi, the node each of those edges reads, the starts (relative
-    to lo) of the runs of edges that write one node, each edge's run index
-    within the step, and the node each run writes.  A node lies on one
-    diagonal, so a run never crosses a bound."""
-    if not len(write):
-        return []
-    new_run = np.empty(len(write), dtype=bool)
-    new_run[0] = True
-    np.not_equal(write[1:], write[:-1], out=new_run[1:])
-    seg = np.flatnonzero(new_run)
-    seg_ptr = np.searchsorted(seg, bounds)
-    starts = seg - np.repeat(bounds[:-1], seg_ptr[1:] - seg_ptr[:-1])
-    run = np.cumsum(new_run)
-    run -= np.repeat(seg_ptr[:-1] + 1, bounds[1:] - bounds[:-1])
-    written = write[seg]
-    spans = zip(bounds[:-1].tolist(), bounds[1:].tolist(), seg_ptr[:-1].tolist(), seg_ptr[1:].tolist())
-    return [(lo, hi, read[lo:hi], starts[a:b], run[lo:hi], written[a:b]) for lo, hi, a, b in spans]
-
-
-def _check_key_width(n_pairs: int, n_edges: int, widths: Sequence[int]) -> None:
-    """Raise ValueError unless a key of fields with the given numbers of
-    values, most significant first, fits in an int64."""
-    if math.prod(widths) > 2**63:
-        raise ValueError(
-            f"batch of {n_pairs} pairs and {n_edges} edges is too large: its edge order key "
-            f"needs {(math.prod(widths) - 1).bit_length()} bits; split the pairs into smaller batches"
-        )
+# A step is one destination diagonal: its edge range lo:hi, those edges'
+# sources and destinations, and every node on the diagonal.
+_Step = Tuple[int, int, np.ndarray, np.ndarray, np.ndarray]
 
 
 def _signature_features(codes: np.ndarray, n_predicates: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -388,32 +344,55 @@ def _signature_features(codes: np.ndarray, n_predicates: int) -> Tuple[np.ndarra
 
 class Semiring(NamedTuple):
     """How a sweep step joins each read node value with its edge's weight
-    (times, a ufunc) and reduces the joined values of the edges that write
-    one node (plus, a segmented reduce)."""
+    (times) and folds the joined values into the nodes they write (plus, a
+    ufunc whose unbuffered ``at`` scatter folds them in edge order)."""
 
     times: np.ufunc
-    plus: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    plus: np.ufunc
 
 
-def _sweep(steps: List[_Step], values: np.ndarray, w: np.ndarray, semiring: Semiring) -> np.ndarray:
-    """Run the steps of one sweep order over node values in place, with w
-    the edge weights in that order.  Every step reads nodes that earlier
-    steps finished and writes each of its nodes once, with the semiring's
-    segmented reduce: log-sum for alignment mass, max for best-path scores
-    (which max leaves exactly equal to the best alpha[src] + w), and sum
-    of products for the adjoint's node posteriors."""
+LOG_SUM = Semiring(np.add, np.logaddexp)
+MAX = Semiring(np.add, np.maximum)
+PRODUCT_SUM = Semiring(np.multiply, np.add)
+
+
+def _sweep(steps: List[_Step], values: np.ndarray, w: np.ndarray, semiring: Semiring, reverse=False) -> np.ndarray:
+    """Run the steps over node values in place, with w the edge weights.
+
+    Forward, steps run in ascending diagonals, read sources and scatter into
+    destinations; reverse, they run backwards, read destinations and
+    scatter into sources.  Either way every node a step reads is complete:
+    a node's in-edges all lie in the step of its own diagonal, and its
+    out-edges in later steps.  The scatters fold into the seeds already in
+    values and overwrite no node.
+
+    A forward log-sum is shifted for stability instead of folded with
+    logaddexp: the step scatters the max of each node's terms, then the
+    sum of their exps shifted by it, and writes log(sum) + max to every
+    node on the diagonal.  That is the one step that overwrites nodes; a
+    node on the diagonal without in-edges gets -inf, its starting value.
+    """
     times, plus = semiring
+    shifted = plus is np.logaddexp and not reverse
+    if shifted:
+        shift = np.full(len(values), _FLOOR)
+        total = np.zeros(len(values))
     with np.errstate(divide="ignore"):
-        for lo, hi, read, starts, run, written in steps:
-            vals = values[read]
+        for lo, hi, src, dst, nodes in (steps[::-1] if reverse else steps):
+            read, write = (dst, src) if reverse else (src, dst)
+            vals = values.take(read)
             times(vals, w[lo:hi], out=vals)
-            values[written] = plus(vals, starts, run)
+            if not shifted:
+                plus.at(values, write, vals)
+                continue
+            np.maximum.at(shift, dst, vals)
+            vals -= shift.take(dst)
+            np.exp(vals, out=vals)
+            np.add.at(total, dst, vals)
+            sums = np.log(total.take(nodes))
+            sums += shift.take(nodes)
+            values[nodes] = sums
     return values
-
-
-LOG_SUM = Semiring(np.add, _segment_logsumexp)
-MAX = Semiring(np.add, _segment_max)
-PRODUCT_SUM = Semiring(np.multiply, _segment_sum)
 
 
 class Batch:
@@ -476,29 +455,15 @@ class Batch:
         sig = (np.cumsum(used, dtype=np.intp) - 1).take(key)
         del key
         op = np.repeat(op_idx.astype(np.int8), lens)
-        span = dst_diag - diag.take(cell)
         del cell
-        # Forward order is (destination diagonal, destination, source
-        # diagonal, source, operation), so that a node's in-edges are one
-        # run: one unique key, in which a source of the same destination
-        # comes earlier the longer its edge spans in diagonals, then in
-        # node ids.  Every edge moves at least one diagonal and one node on.
-        gap = dst - src
-        n_ops = len(model.ops)
-        widths = (int(dst_diag.max()) + 1, self.n_nodes, int(span.max()) + 1, int(gap.max()) + 1, n_ops)
-        _check_key_width(self.n_pairs, len(src), widths)
-        _, _, n_spans, n_gaps, _ = widths
-        key = np.multiply(dst_diag, self.n_nodes, dtype=np.int64)
-        key += dst
-        key *= n_spans
-        key += n_spans - span
-        key *= n_gaps
-        key += np.subtract(n_gaps, gap, out=gap)
-        key *= n_ops
-        key += op
-        del span, gap
-        order = np.argsort(key)
-        del key
+        # Forward order is by destination diagonal only, and within one by
+        # emission order.  A stable sort of the diagonals in the narrowest
+        # unsigned type that holds them is a radix sort up to 16 bits.
+        n_diags = int(diag.max()) + 1
+        narrow = np.min_scalar_type(n_diags - 1)
+        order = np.argsort(dst_diag.astype(narrow), kind="stable")
+        edge_end = np.cumsum(np.bincount(dst_diag, minlength=n_diags)).tolist()
+        del dst_diag
         # Permute one array at a time and free its unsorted copy before the
         # next, so that the build holds one spare edge array, not four.
         unsorted = dict(src=src, dst=dst, op_idx=op, sig=sig)
@@ -507,7 +472,15 @@ class Batch:
             setattr(self, name, unsorted.pop(name).take(order))
         del order
         self.n_edges = len(self.src)
-        self._forward_steps = _steps(_diagonal_bounds(dst_diag), self.src, self.dst)
+        # The nodes of each diagonal, cells in order, states within a cell.
+        by_diag = np.argsort(diag.astype(narrow), kind="stable")
+        nodes = (base.take(by_diag)[:, None] + np.arange(n_states)).ravel()
+        node_end = (np.cumsum(np.bincount(diag, minlength=n_diags)) * n_states).tolist()
+        self._steps: List[_Step] = [
+            (lo, hi, self.src[lo:hi], self.dst[lo:hi], nodes[a:b])
+            for lo, hi, a, b in zip([0] + edge_end[:-1], edge_end, [0] + node_end[:-1], node_end)
+            if hi > lo
+        ]
         key = np.flatnonzero(used)
         self.n_sigs = len(key)
         n_predicates = len(model.predicates)
@@ -540,11 +513,6 @@ class Batch:
         return np.insert(cells, self.start_ids - np.arange(self.n_pairs), 0)
 
     @cached_property
-    def src_diag(self) -> np.ndarray:
-        """Anti-diagonal of each edge's source."""
-        return self._node_diag[self.src]
-
-    @cached_property
     def pair_of_edge(self) -> np.ndarray:
         """Pair of each edge."""
         return self._node_pair[self.dst]
@@ -559,34 +527,12 @@ class Batch:
         pair = self.pair_of_edge
         return 2 * pair + state_subset[(self.dst - pair - 1) % len(state_subset)]
 
-    @cached_property
-    def bwd_perm(self) -> np.ndarray:
-        """Forward index of each edge in backward order: (source diagonal,
-        source, operation, destination).  An operation lands on one cell
-        from a source, so within (source, operation) destinations run in
-        target state order.  Forward-only work never reads it.  The key is
-        narrower than the forward one, which the batch checked."""
-        gap = self.dst - self.src
-        n_gaps = int(gap.max()) + 1
-        key = self.src_diag.astype(np.int64) * self.n_nodes
-        key += self.src
-        key *= len(self.model.ops)
-        key += self.op_idx
-        key *= n_gaps
-        key += gap
-        return np.argsort(key)
-
     # -- sweeps -------------------------------------------------------
-
-    @cached_property
-    def _backward_steps(self) -> List[_Step]:
-        perm = self.bwd_perm
-        return _steps(_diagonal_bounds(self.src_diag), self.dst[perm], self.src[perm])[::-1]
 
     def _sweep_forward(self, w: np.ndarray, semiring=LOG_SUM) -> np.ndarray:
         alpha = np.full(self.n_nodes, NEG_INF)
         alpha[self.start_ids] = 0.0
-        return _sweep(self._forward_steps, alpha, w, semiring)
+        return _sweep(self._steps, alpha, w, semiring)
 
     def _beam_cut(self, alpha: np.ndarray, width: int) -> np.ndarray:
         """Mask of the nodes outside the beam: those ranked width or later
@@ -638,7 +584,7 @@ class Batch:
     def backward(self, w: np.ndarray) -> np.ndarray:
         beta = np.full(self.n_nodes, NEG_INF)
         beta[self.acc0] = beta[self.acc1] = 0.0
-        return _sweep(self._backward_steps, beta, w[self.bwd_perm], LOG_SUM)
+        return _sweep(self._steps, beta, w, LOG_SUM, reverse=True)
 
     # -- aggregates ---------------------------------------------------
 
@@ -712,7 +658,7 @@ class Batch:
         mu = np.zeros(self.n_nodes)
         mu[self.acc0] = np.exp(alpha[self.acc0] - lz[:, :1])
         mu[self.acc1] = np.exp(alpha[self.acc1] - lz[:, 1:])
-        _sweep(self._backward_steps, mu, q[self.bwd_perm], PRODUCT_SUM)
+        _sweep(self._steps, mu, q, PRODUCT_SUM, reverse=True)
         q *= mu[self.dst]
         return q
 

@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from editcrf import (
 )
 from editcrf import edits
 from editcrf.data import NoiseConfig, random_person_names, synthesize_names
-from editcrf.engine import MAX, Batch, _Cells, _check_key_width, beam_width, expectations
+from editcrf.engine import MAX, Batch, _Cells, beam_width, expectations
 from editcrf.errors import DegenerateInputError, NoPathError
 from editcrf.features import LexiconSet, eval_predicate
 from editcrf.lattice import _BestPaths, alignment_feature_counts
@@ -143,7 +145,7 @@ def test_backward_boundary_and_start_cut(ids_model):
 def _cut_mass(batch, w, alpha, beta, d):
     """Alpha+beta mass crossing anti-diagonal d: nodes on the diagonal
     plus edges that jump over it."""
-    nx, ny, n_states = int(batch.nx[0]), int(batch.ny[0]), len(batch.runtime.states)
+    nx, ny = int(batch.nx[0]), int(batch.ny[0])
     terms = []
     for i in range(nx + 1):
         j = d - i
@@ -154,9 +156,8 @@ def _cut_mass(batch, w, alpha, beta, d):
             b = beta[_node(batch, i, j, state)]
             if np.isfinite(a) and np.isfinite(b):
                 terms.append(a + b)
-    dst_cell = (batch.dst - 1) // n_states
-    dst_diag = dst_cell // (ny + 1) + dst_cell % (ny + 1)
-    spanning = np.flatnonzero((batch.src_diag < d) & (dst_diag > d))
+    diag = _node_diagonals(batch)
+    spanning = np.flatnonzero((diag[batch.src] < d) & (diag[batch.dst] > d))
     for k in spanning:
         a = alpha[batch.src[k]]
         b = beta[batch.dst[k]]
@@ -256,6 +257,50 @@ def test_viterbi_tie_break_matches_oracle():
                     got = viterbi(model, x, y, constraint)
                     assert got == want, (ops, params, x, y, constraint)
                     assert paths.alignment(k, constraint) == got
+
+
+GOLDEN_VITERBI = Path(__file__).with_name("golden_viterbi.json")
+
+
+def _golden_params(n, kind):
+    """Weights that need no random generator: all zero, in {-1, 0, 1} (exact
+    score ties are common), or in [-1, 1) from correctly rounded divisions."""
+    hashed = np.arange(n, dtype=np.int64) * 2654435761 % 1000003
+    if kind == "zero":
+        return np.zeros(n)
+    if kind == "ternary":
+        return (hashed % 3 - 1).astype(float)
+    return hashed / 1000003 * 2 - 1
+
+
+def _golden_records():
+    """Best alignment of every WORDY_PAIRS pair under every registered
+    operation, both model orders, three weight vectors and each constraint,
+    as JSON-ready rows with the score in float.hex form."""
+    lexicon = LexiconSet("words", frozenset({"the", "of", "corp.", "acm", "lab"}))
+    rows = []
+    for order in ("first-order", "second-order"):
+        model0 = build_model(edits.registry(), order, lexicons={"words": lexicon})
+        for kind in ("zero", "ternary", "graded"):
+            model = model0.with_params(_golden_params(model0.n_features, kind))
+            for x, y in WORDY_PAIRS:
+                for constraint in ("all", 0, 1):
+                    a = viterbi(model, x, y, constraint)
+                    rows.append([order, kind, x, y, constraint, list(a.edits), list(a.ix), list(a.iy),
+                                 list(a.states), a.score.hex()])
+    return rows
+
+
+def test_viterbi_alignments_match_golden_file():
+    """Best alignments, tie-breaks included, and their scores bit for bit
+    equal those recorded in golden_viterbi.json, which pins them across
+    changes to the edge order and the sweeps.  After an intended change,
+    re-record by writing _golden_records() to that file as JSON."""
+    want = json.loads(GOLDEN_VITERBI.read_text())
+    got = json.loads(json.dumps(_golden_records()))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == w
 
 
 def test_viterbi_score_bounded_by_log_partition(ids_model):
@@ -388,6 +433,38 @@ def test_batch_of_many_matches_per_pair(ids_model):
                 assert (b0[k], b1[k]) == (o0[0], o1[0]), (x, y, width)
 
 
+def test_mixed_length_batch_matches_one_pair_batches_bit_for_bit():
+    """In a batch of pairs of very different lengths, whose accepting nodes
+    lie on different diagonals, each pair's clamped counts and beta equal
+    those of its one-pair batch exactly: the reverse sweeps add into the
+    accepting seeds of the shorter pairs and never overwrite them."""
+    model0 = _PROPERTY_MODELS["second-order"]
+    params = np.random.default_rng(13).uniform(-2, 2, model0.n_features)
+    pairs = [("a", "b"), ("john a. smith", "smith, john"), ("", "ab"), ("abcdefghij klm", "abc"), ("xy", "")]
+    labels = np.array([1, 0, 1, 0, 1])
+    batch = Batch(model0, pairs)
+    got = expectations(batch, params, labels, per_pair=True)
+    beta = batch.backward(batch.edge_weights(params))
+    for k, pair in enumerate(pairs):
+        one = Batch(model0, [pair])
+        want = expectations(one, params, labels[k : k + 1], per_pair=True)
+        assert np.array_equal(got.clamped_by_pair[k], want.clamped_by_pair[0]), pair
+        own = slice(batch.node_offset[k], batch.node_offset[k + 1])
+        assert np.array_equal(beta[own], one.backward(one.edge_weights(params))), pair
+
+
+def test_pair_with_more_diagonals_than_16_bits_hold(ids_model):
+    """70,002 anti-diagonals need a sort key wider than 16 bits; the forward
+    edges still run by destination diagonal, and p(match) is a probability
+    (one half under zero weights, by symmetry)."""
+    x, y = "a" * 70000, "b"
+    batch = Batch(ids_model, [(x, y)])
+    dst_diag = _node_diagonals(batch)[batch.dst]
+    assert dst_diag.max() == 70001
+    assert np.all(np.diff(dst_diag) >= 0)
+    assert posterior_match(ids_model, x, y) == pytest.approx(0.5, rel=1e-9)
+
+
 def test_every_signature_id_is_used():
     model = build_model(["insert", "delete", "substitute"] + SKIP_PRESENT)
     for pairs in ([("john smith", "jon smith")], [("john smith", "jon smith"), ("a b", "b"), ("", "x")]):
@@ -473,27 +550,28 @@ def _node_diagonals(batch):
 
 @pytest.mark.parametrize("order", ["first-order", "second-order"])
 def test_sweep_steps_write_each_node_once(order):
-    """Forward steps read only nodes of earlier diagonals than the ones
-    they write, backward steps only of later ones, and in both directions
-    every node is written by at most one run of one step."""
+    """Each step is one destination diagonal: its edges read only nodes of
+    earlier diagonals and write nodes of its own, which it lists, and the
+    steps' node lists are disjoint, so one step writes each node.  Walked
+    backwards, a step therefore writes only sources on earlier diagonals,
+    whose out-edges all lie in the steps already walked."""
     lexicon = LexiconSet("words", frozenset({"the", "of", "corp.", "acm", "lab"}))
     model = build_model(edits.registry(), order, lexicons={"words": lexicon})
     batch = Batch(model, WORDY_PAIRS + [("ab", "ba"), ("abc", "")])
     diag = _node_diagonals(batch)
-    for steps, later in ((batch._forward_steps, False), (batch._backward_steps, True)):
-        written = []
-        for lo, hi, read, starts, run, nodes in steps:
-            assert len(read) == len(run) == hi - lo
-            np.testing.assert_array_equal(run[starts], np.arange(len(starts)))
-            assert np.all(np.diff(run) >= 0)
-            assert len(np.unique(nodes)) == len(nodes)
-            if later:
-                assert diag[read].min() > diag[nodes].max()
-            else:
-                assert diag[read].max() < diag[nodes].min()
-            written.append(nodes)
-        written = np.concatenate(written)
-        assert len(np.unique(written)) == len(written)
+    written, end = [], 0
+    for lo, hi, src, dst, nodes in batch._steps:
+        assert lo == end < hi
+        end = hi
+        np.testing.assert_array_equal(src, batch.src[lo:hi])
+        np.testing.assert_array_equal(dst, batch.dst[lo:hi])
+        assert len(np.unique(diag[nodes])) == 1
+        assert diag[src].max() < diag[nodes[0]]
+        assert np.isin(dst, nodes).all()
+        written.append(nodes)
+    assert end == batch.n_edges
+    written = np.concatenate(written)
+    assert len(np.unique(written)) == len(written)
 
 
 def _increase_strictly(rows):
@@ -505,24 +583,38 @@ def _increase_strictly(rows):
 
 @pytest.mark.parametrize("order", ["first-order", "second-order"])
 def test_compiled_edge_order(order):
-    """Forward edges run strictly by (destination diagonal, destination,
-    source diagonal, source, operation), the backward permutation orders
-    them strictly by (source diagonal, source, operation, target state),
-    and signature ids are the ranks of the edges' (group, mask) codes."""
+    """Forward edges run by destination diagonal, then in emission order:
+    by transition, then in the order _Cells.landings lists the operation's
+    applications, so strictly by (destination diagonal, transition, rank
+    of the application); and signature ids are the ranks of the edges'
+    (group, mask) codes."""
     lexicon = LexiconSet("words", frozenset({"the", "of", "corp.", "acm", "lab"}))
     model = build_model(edits.registry(), order, lexicons={"words": lexicon})
     pairs = WORDY_PAIRS + [("ab", "ba"), ("abc", ""), ("kitten", "sitting")]
     batch = Batch(model, pairs)
     diag = _node_diagonals(batch)
     src, dst, op = batch.src, batch.dst, batch.op_idx.astype(np.int64)
-    assert _increase_strictly(np.stack((diag[dst], dst, diag[src], src, op)))
     n_states = len(batch.runtime.states)
     pair = np.searchsorted(batch.node_offset, dst, "right") - 1
     to = (dst - batch.node_offset[pair] - 1) % n_states
-    perm = batch.bwd_perm
-    assert _increase_strictly(np.stack((diag[src], src, op, to))[:, perm])
     local = src - batch.node_offset[pair] - 1
     frm = np.where(local < 0, -1, local % n_states)
+    cells = _Cells([x for x, _ in pairs], [y for _, y in pairs])
+    src_cell = cells.offset[pair] + np.maximum(local, 0) // n_states
+    dst_cell = cells.offset[pair] + (dst - batch.node_offset[pair] - 1) // n_states
+    transition = {tuple(row[:3]): k for k, row in enumerate(batch.runtime.transitions.tolist())}
+    rank = np.empty(batch.n_edges, dtype=np.int64)
+    n_cells = int(cells.offset[-1])
+    for k, name in enumerate(model.ops):
+        at, land = cells.landings(name, model.lexicon_union)
+        listed = at.astype(np.int64) * n_cells + land
+        mine = np.flatnonzero(op == k)
+        key = (src_cell * n_cells + dst_cell)[mine]
+        by_key = np.argsort(listed)
+        rank[mine] = by_key[np.searchsorted(listed, key, sorter=by_key)]
+        np.testing.assert_array_equal(listed[rank[mine]], key)
+    trans = np.array([transition[t] for t in zip(frm.tolist(), op.tolist(), to.tolist())])
+    assert _increase_strictly(np.stack((diag[dst], trans, rank)))
     i, j = np.divmod(np.maximum(local, 0) // n_states, batch.ny[pair] + 1)
     states = batch.runtime.states
     triples, which = np.unique(np.stack((frm, op, to)), axis=1, return_inverse=True)
@@ -541,30 +633,20 @@ def test_compiled_edge_order(order):
 
 def test_forward_only_work_builds_no_backward_order():
     """score_pairs and posterior_match run forward and log_partitions
-    only, which leave the backward order unbuilt; counts build it, and
-    equal those of a fresh batch."""
+    only, which leave the per-edge pair arrays unbuilt; counts build them,
+    and equal those of a fresh batch."""
     model = build_model(["insert", "delete", "substitute"] + SKIP_PRESENT, "first-order")
     model = model.with_params(np.random.default_rng(11).uniform(-1, 1, model.n_features))
     pairs = [("john smith", "smith john"), ("kitten", "sitting"), ("a b", "b")]
     labels = np.array([1, 0, 1])
     batch = Batch(model, pairs)
     batch.log_partitions(batch.forward(batch.edge_weights(model.params))[0])
-    assert "bwd_perm" not in vars(batch) and "_backward_steps" not in vars(batch)
+    assert "pair_subset" not in vars(batch) and "pair_of_edge" not in vars(batch)
     got = expectations(batch, model.params, labels)
-    assert "bwd_perm" in vars(batch) and "_backward_steps" in vars(batch)
+    assert "pair_subset" in vars(batch) and "pair_of_edge" in vars(batch)
     fresh = expectations(Batch(model, pairs), model.params, labels)
     np.testing.assert_array_equal(got.counts_all, fresh.counts_all)
     np.testing.assert_array_equal(got.counts_clamped, fresh.counts_clamped)
-
-
-def test_edge_key_width_check():
-    """A key whose fields' value counts multiply to at most 2**63 fits in
-    an int64; one more value raises, naming the batch's size."""
-    _check_key_width(3, 40, (2**20, 2**40, 2**3))
-    with pytest.raises(ValueError, match="3 pairs and 40 edges"):
-        _check_key_width(3, 40, (2**20, 2**40, 2**3 + 1))
-    with pytest.raises(ValueError, match="64 bits"):
-        _check_key_width(1, 5, (2**32, 2**32))
 
 
 def _reference_sweeps(batch, w):
