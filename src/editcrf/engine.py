@@ -4,7 +4,10 @@ The lattice for a string pair has one node per (i, j, state) triple plus a
 start node for q0 at (0, 0).  Because every edit strictly increases i + j,
 nodes can be processed one anti-diagonal at a time, and a whole corpus of
 pairs can share a single sweep: edges of all pairs are merged and sorted by
-anti-diagonal.
+anti-diagonal.  Node ids are diagonal-major: they run by anti-diagonal,
+then pair, then cell, then state, with each pair's start node just before
+its cell (0, 0) on diagonal 0.  The nodes of one diagonal therefore form
+one range of ids, and ids ascend along every edge.
 
 Every pass runs through one sweep routine over one schedule of steps,
 one step per destination diagonal, in one of three semirings.  Forward,
@@ -327,8 +330,15 @@ def _segment_logsumexp(vals: np.ndarray, starts: np.ndarray, run: np.ndarray) ->
 
 
 # A step is one destination diagonal: its edge range lo:hi, those edges'
-# sources and destinations, and every node on the diagonal.
-_Step = Tuple[int, int, np.ndarray, np.ndarray, np.ndarray]
+# sources and destinations, and the range a:z of the nodes on the diagonal.
+_Step = Tuple[int, int, np.ndarray, np.ndarray, int, int]
+
+
+def _by_diagonal(diag: np.ndarray, n_diags: int) -> np.ndarray:
+    """Stable order of elements by their anti-diagonal, below n_diags,
+    sorted in the narrowest unsigned type that holds the diagonals: a
+    radix sort up to 16 bits."""
+    return np.argsort(diag.astype(np.min_scalar_type(n_diags - 1)), kind="stable")
 
 
 def _signature_features(codes: np.ndarray, n_predicates: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -368,8 +378,8 @@ def _sweep(steps: List[_Step], values: np.ndarray, w: np.ndarray, semiring: Semi
 
     A forward log-sum is shifted for stability instead of folded with
     logaddexp: the step scatters the max of each node's terms, then the
-    sum of their exps shifted by it, and writes log(sum) + max to every
-    node on the diagonal.  That is the one step that overwrites nodes; a
+    sum of their exps shifted by it, and writes log(sum) + max to the
+    diagonal's node range.  That is the one step that overwrites nodes; a
     node on the diagonal without in-edges gets -inf, its starting value.
     """
     times, plus = semiring
@@ -378,7 +388,7 @@ def _sweep(steps: List[_Step], values: np.ndarray, w: np.ndarray, semiring: Semi
         shift = np.full(len(values), _FLOOR)
         total = np.zeros(len(values))
     with np.errstate(divide="ignore"):
-        for lo, hi, src, dst, nodes in (steps[::-1] if reverse else steps):
+        for lo, hi, src, dst, a, z in (steps[::-1] if reverse else steps):
             read, write = (dst, src) if reverse else (src, dst)
             vals = values.take(read)
             times(vals, w[lo:hi], out=vals)
@@ -389,9 +399,8 @@ def _sweep(steps: List[_Step], values: np.ndarray, w: np.ndarray, semiring: Semi
             vals -= shift.take(dst)
             np.exp(vals, out=vals)
             np.add.at(total, dst, vals)
-            sums = np.log(total.take(nodes))
-            sums += shift.take(nodes)
-            values[nodes] = sums
+            np.log(total[a:z], out=values[a:z])
+            values[a:z] += shift[a:z]
     return values
 
 
@@ -414,16 +423,23 @@ class Batch:
                 f"pair {self.pair_ids[empty[0]]!r}: both strings are empty; no non-empty alignment exists"
             )
         n_states = len(rt.states)
-        # Node id of cell c in state s is pair + 1 + c * n_states + s; the
-        # start node of a pair is the id just before its cell (0, 0).
-        self.node_offset = np.arange(self.n_pairs + 1) + cells.offset * n_states
-        self.n_nodes = int(self.node_offset[-1])
-        self.start_ids = self.node_offset[:-1]
-        base = cells.pair + 1 + np.arange(len(cells.pair)) * n_states
         # Per-cell and per-edge values that fit are kept in int32, to halve
         # the memory the edge arrays pass through.  Arrays that index
         # others stay intp: NumPy converts an int32 index on every gather.
         diag = (cells.i + cells.j).astype(np.int32)
+        n_diags = int(diag.max()) + 1
+        # Nodes are numbered by (diagonal, pair, cell, state), so that the
+        # nodes of each diagonal form one range.  A cell's rank is its
+        # place in that order.  Diagonal 0 holds each pair's start node
+        # followed by its cell (0, 0), whose base - 1 is therefore the
+        # start node; later diagonals hold no start node.
+        rank = np.empty(len(diag), dtype=np.intp)
+        rank[_by_diagonal(diag, n_diags)] = np.arange(len(diag))
+        base = np.minimum(rank + 1, self.n_pairs)
+        base += rank * n_states
+        del rank
+        self.n_nodes = self.n_pairs + len(diag) * n_states
+        self.start_ids = np.arange(self.n_pairs) * (n_states + 1)
         cell_masks = cells.masks(model.predicates)
         masks = _sorted_unique(cell_masks)
         mask_id = np.searchsorted(masks, cell_masks).astype(np.int32)
@@ -457,11 +473,8 @@ class Batch:
         op = np.repeat(op_idx.astype(np.int8), lens)
         del cell
         # Forward order is by destination diagonal only, and within one by
-        # emission order.  A stable sort of the diagonals in the narrowest
-        # unsigned type that holds them is a radix sort up to 16 bits.
-        n_diags = int(diag.max()) + 1
-        narrow = np.min_scalar_type(n_diags - 1)
-        order = np.argsort(dst_diag.astype(narrow), kind="stable")
+        # emission order.
+        order = _by_diagonal(dst_diag, n_diags)
         edge_end = np.cumsum(np.bincount(dst_diag, minlength=n_diags)).tolist()
         del dst_diag
         # Permute one array at a time and free its unsorted copy before the
@@ -472,13 +485,12 @@ class Batch:
             setattr(self, name, unsorted.pop(name).take(order))
         del order
         self.n_edges = len(self.src)
-        # The nodes of each diagonal, cells in order, states within a cell.
-        by_diag = np.argsort(diag.astype(narrow), kind="stable")
-        nodes = (base.take(by_diag)[:, None] + np.arange(n_states)).ravel()
-        node_end = (np.cumsum(np.bincount(diag, minlength=n_diags)) * n_states).tolist()
+        # Diagonal d's nodes end after the start nodes and the states of
+        # the cells of diagonals 0 to d.
+        node_end = (self.n_pairs + np.cumsum(np.bincount(diag, minlength=n_diags)) * n_states).tolist()
         self._steps: List[_Step] = [
-            (lo, hi, self.src[lo:hi], self.dst[lo:hi], nodes[a:b])
-            for lo, hi, a, b in zip([0] + edge_end[:-1], edge_end, [0] + node_end[:-1], node_end)
+            (lo, hi, self.src[lo:hi], self.dst[lo:hi], a, z)
+            for lo, hi, a, z in zip([0] + edge_end[:-1], edge_end, [0] + node_end[:-1], node_end)
             if hi > lo
         ]
         key = np.flatnonzero(used)
@@ -486,7 +498,7 @@ class Batch:
         n_predicates = len(model.predicates)
         codes = (key // len(masks)) << n_predicates | masks[key % len(masks)]
         self.sig_rows, self.sig_features = _signature_features(codes, n_predicates)
-        final = self.node_offset[1:] - n_states
+        final = base.take(cells.offset[1:] - 1)
         n_s0 = len(model.topology.s0)
         self.acc0 = final[:, None] + np.arange(n_s0)
         self.acc1 = final[:, None] + np.arange(n_s0, n_states)
@@ -500,22 +512,39 @@ class Batch:
 
     # -- arrays built on first use ------------------------------------
 
-    @cached_property
-    def _node_pair(self) -> np.ndarray:
-        """Pair of every node."""
-        return np.repeat(np.arange(self.n_pairs, dtype=np.int32), np.diff(self.node_offset))
+    def _cells_by_rank(self) -> np.ndarray:
+        """(pair, i, j) of every cell, one row each, in node order."""
+        _, pair, i, j = _cell_table(self.nx, self.ny)
+        diag = i + j
+        return np.stack((pair, i, j))[:, _by_diagonal(diag, int(diag.max()) + 1)]
 
     @cached_property
-    def _node_diag(self) -> np.ndarray:
-        """Anti-diagonal i + j of every node; 0 for start nodes."""
-        _, _, i, j = _cell_table(self.nx, self.ny)
-        cells = np.repeat((i + j).astype(np.int32), len(self.runtime.states))
-        return np.insert(cells, self.start_ids - np.arange(self.n_pairs), 0)
+    def _node_table(self) -> np.ndarray:
+        """(pair, i, j, state index) of every node, one int32 row each; a
+        start node lies at (0, 0) of its pair, with state index -1."""
+        n_states, n_pairs = len(self.runtime.states), self.n_pairs
+        cells = self._cells_by_rank()
+        # Diagonal 0 holds, per pair, a start node and the n_states nodes
+        # of its cell (0, 0); every later cell holds n_states nodes.  Both
+        # reshapes split the contiguous last axis, so they are views.
+        table = np.empty((4, self.n_nodes), dtype=np.int32)
+        head = table[:, : n_pairs * (n_states + 1)].reshape(4, n_pairs, n_states + 1)
+        rest = table[:, n_pairs * (n_states + 1) :].reshape(4, -1, n_states)
+        head[:3] = cells[:, :n_pairs, None]
+        head[3] = np.arange(-1, n_states)
+        rest[:3] = cells[:, n_pairs:, None]
+        rest[3] = np.arange(n_states)
+        return table
+
+    # Every edge's destination lies past diagonal 0, where node n_pairs +
+    # rank * n_states + state is in the cell of that rank; training reads
+    # the two per-edge arrays below from that, without the node table.
 
     @cached_property
     def pair_of_edge(self) -> np.ndarray:
         """Pair of each edge."""
-        return self._node_pair[self.dst]
+        by_rank = self._cells_by_rank()[0].astype(np.int32)
+        return by_rank.take((self.dst - self.n_pairs) // len(self.runtime.states))
 
     @cached_property
     def pair_subset(self) -> np.ndarray:
@@ -524,8 +553,7 @@ class Batch:
         _, _, to, _, subset = self.runtime.transitions.T
         state_subset = np.zeros(len(self.runtime.states), dtype=np.intp)
         state_subset[to] = subset
-        pair = self.pair_of_edge
-        return 2 * pair + state_subset[(self.dst - pair - 1) % len(state_subset)]
+        return 2 * self.pair_of_edge + state_subset.take((self.dst - self.n_pairs) % len(state_subset))
 
     # -- sweeps -------------------------------------------------------
 
@@ -537,15 +565,17 @@ class Batch:
     def _beam_cut(self, alpha: np.ndarray, width: int) -> np.ndarray:
         """Mask of the nodes outside the beam: those ranked width or later
         by exact forward mass among the nodes of their pair on their
-        anti-diagonal, ties broken by node id.  A pair's final cell holds
-        only accepting nodes and is never cut.
+        anti-diagonal, ties broken by node id: the smaller i, then the
+        smaller state id.  A pair's final cell holds only accepting nodes
+        and is never cut.
 
         Ranking uses the exact forward mass, so the kept sets for width
         w are a prefix of those for width w + 1; surviving path sets
         therefore nest and pruned partition mass grows monotonically
         with the beam width.
         """
-        group = self._node_diag.astype(np.int64) * self.n_pairs + self._node_pair
+        pair, i, j, _ = self._node_table
+        group = (i + j).astype(np.int64) * self.n_pairs + pair
         # Rank by mass, largest first, equal masses equal; a stable sort by
         # (group, rank) then keeps ties in node id order.
         by_mass = np.argsort(-alpha)

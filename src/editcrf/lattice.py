@@ -150,9 +150,9 @@ class _BestPaths:
             tied = tight[np.bincount(to, minlength=b.n_nodes)[to] > 1]
             if len(tied):
                 tied = tied[np.argsort(b.dst[tied], kind="stable")]
-                # Node ids follow row-major cells and every edge moves down
-                # or right, so in ascending order a tie is settled after
-                # every tie among its ancestors.
+                # Node ids ascend with the anti-diagonal and every edge
+                # moves to a later one, so in ascending order a tie is
+                # settled after every tie among its ancestors.
                 for group in np.split(tied, np.flatnonzero(np.diff(b.dst[tied])) + 1):
                     parent[b.dst[group[0]]] = min(group, key=self._key)
         return self._parent
@@ -203,9 +203,7 @@ class _BestPaths:
     def _step(self, k: int) -> Tuple[str, int, int, int]:
         """(operation, landed i, landed j, state) of edge k."""
         b = self.batch
-        pair = b.pair_of_edge[k]
-        cell, s_idx = divmod(int(b.dst[k] - b.node_offset[pair]) - 1, len(b.runtime.states))
-        i, j = divmod(cell, int(b.ny[pair]) + 1)
+        _, i, j, s_idx = b._node_table[:, b.dst[k]].tolist()
         return b.model.ops[b.op_idx[k]], i, j, b.runtime.states[s_idx]
 
     def _key(self, k: int) -> Tuple[int, Tuple[str, ...], Tuple[int, ...]]:

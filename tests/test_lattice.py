@@ -120,11 +120,12 @@ def test_log_potential_validates_landing(ids_model):
 
 
 def _node(batch, i, j, state):
-    """Id of node (i, j, state) of a one-pair batch; q0 is node 0."""
-    if state == Q0:
-        return 0
-    cell = i * (int(batch.ny[0]) + 1) + j
-    return 1 + cell * len(batch.runtime.states) + batch.runtime.state_index[state]
+    """Id of node (i, j, state) of a one-pair batch, found in its node
+    table; q0 is the start node."""
+    s_idx = -1 if state == Q0 else batch.runtime.state_index[state]
+    _, at_i, at_j, at_s = batch._node_table
+    (node,) = np.flatnonzero((at_i == i) & (at_j == j) & (at_s == s_idx))
+    return node
 
 
 def _one_pair_tables(model, x, y):
@@ -425,7 +426,7 @@ def test_batch_of_many_matches_per_pair(ids_model):
             assert constrained_log_partition(lat, 1) == lz1[k]
             one = Batch(model, [(x, y)])
             one_w = one.edge_weights(model.params)
-            own = slice(batch.node_offset[k], batch.node_offset[k + 1])
+            own = batch._node_table[0] == k
             np.testing.assert_array_equal(beta[own], one.backward(one_w))
             # A pair's beam result does not depend on the other pairs of its batch.
             for width, (b0, b1) in beams.items():
@@ -449,8 +450,31 @@ def test_mixed_length_batch_matches_one_pair_batches_bit_for_bit():
         one = Batch(model0, [pair])
         want = expectations(one, params, labels[k : k + 1], per_pair=True)
         assert np.array_equal(got.clamped_by_pair[k], want.clamped_by_pair[0]), pair
-        own = slice(batch.node_offset[k], batch.node_offset[k + 1])
+        own = batch._node_table[0] == k
         assert np.array_equal(beta[own], one.backward(one.edge_weights(params))), pair
+
+
+def test_mixed_length_batch_beam_matches_one_pair_batches_bit_for_bit():
+    """Each pair's beam alpha and cut mask in a mixed-length batch, read
+    through the node table, equal those of its one-pair batch exactly:
+    the beam ranks a pair's nodes on a diagonal among themselves only."""
+    model0 = _PROPERTY_MODELS["second-order"]
+    params = np.random.default_rng(29).uniform(-2, 2, model0.n_features)
+    pairs = [("a", "b"), ("john a. smith", "smith, john"), ("", "ab"), ("abcdefghij klm", "abc"), ("xy", "")]
+    batch = Batch(model0, pairs)
+    w = batch.edge_weights(params)
+    exact = batch.forward(w)[0]
+    ones = [Batch(model0, [pair]) for pair in pairs]
+    for width in (1, 2, 3):
+        alpha, pruned = batch.forward(w, beam=width)
+        assert pruned
+        cut = batch._beam_cut(exact, width)
+        for k, (pair, one) in enumerate(zip(pairs, ones)):
+            own = batch._node_table[0] == k
+            np.testing.assert_array_equal(batch._node_table[1:, own], one._node_table[1:])
+            one_w = one.edge_weights(params)
+            assert np.array_equal(alpha[own], one.forward(one_w, beam=width)[0]), (pair, width)
+            assert np.array_equal(cut[own], one._beam_cut(one.forward(one_w)[0], width)), (pair, width)
 
 
 def test_pair_with_more_diagonals_than_16_bits_hold(ids_model):
@@ -484,10 +508,8 @@ def _decoded_edges(batch):
     pair = batch.pair_of_edge.astype(np.int64)
     ends = []
     for node in (batch.src, batch.dst):
-        cell, s_idx = np.divmod(node - batch.node_offset[pair] - 1, len(states))
-        i, j = np.divmod(cell, batch.ny[pair] + 1)
-        start = cell < 0
-        ends.append((np.where(start, 0, i), np.where(start, 0, j), np.where(start, Q0, states[s_idx])))
+        _, i, j, s_idx = batch._node_table[:, node]
+        ends.append((i, j, np.where(s_idx < 0, Q0, states[s_idx])))
     (i, j, frm), (i2, j2, to) = ends
     ops = np.array(model.ops)[batch.op_idx]
     columns = (pair, i, j, frm, ops, to, i2, j2, sig_group[batch.sig], sig_mask[batch.sig].astype(np.int64))
@@ -541,37 +563,38 @@ def test_second_order_matches_oracle():
 
 def _node_diagonals(batch):
     """Anti-diagonal i + j of every node of a batch; 0 for start nodes."""
-    node = np.arange(batch.n_nodes)
-    pair = np.searchsorted(batch.node_offset, node, "right") - 1
-    cell = np.maximum(node - batch.node_offset[pair] - 1, 0) // len(batch.runtime.states)
-    i, j = np.divmod(cell, batch.ny[pair] + 1)
+    _, i, j, _ = batch._node_table.astype(np.int64)
     return i + j
 
 
 @pytest.mark.parametrize("order", ["first-order", "second-order"])
 def test_sweep_steps_write_each_node_once(order):
     """Each step is one destination diagonal: its edges read only nodes of
-    earlier diagonals and write nodes of its own, which it lists, and the
-    steps' node lists are disjoint, so one step writes each node.  Walked
-    backwards, a step therefore writes only sources on earlier diagonals,
-    whose out-edges all lie in the steps already walked."""
+    earlier diagonals and write nodes of its own, whose ids are exactly
+    the step's range a:z, and the ranges ascend without overlap and hold
+    no start node, so one step writes each node.  Walked backwards, a step
+    therefore writes only sources on earlier diagonals, whose out-edges
+    all lie in the steps already walked."""
     lexicon = LexiconSet("words", frozenset({"the", "of", "corp.", "acm", "lab"}))
     model = build_model(edits.registry(), order, lexicons={"words": lexicon})
     batch = Batch(model, WORDY_PAIRS + [("ab", "ba"), ("abc", "")])
     diag = _node_diagonals(batch)
-    written, end = [], 0
-    for lo, hi, src, dst, nodes in batch._steps:
+    start = batch._node_table[3] < 0
+    np.testing.assert_array_equal(np.flatnonzero(start), batch.start_ids)
+    end = last = 0
+    for lo, hi, src, dst, a, z in batch._steps:
         assert lo == end < hi
         end = hi
         np.testing.assert_array_equal(src, batch.src[lo:hi])
         np.testing.assert_array_equal(dst, batch.dst[lo:hi])
-        assert len(np.unique(diag[nodes])) == 1
-        assert diag[src].max() < diag[nodes[0]]
-        assert np.isin(dst, nodes).all()
-        written.append(nodes)
+        d = diag[dst[0]]
+        np.testing.assert_array_equal(np.flatnonzero(diag == d), np.arange(a, z))
+        assert last <= a < z
+        last = z
+        assert not start[a:z].any()
+        assert diag[src].max() < d
+        assert ((a <= dst) & (dst < z)).all()
     assert end == batch.n_edges
-    written = np.concatenate(written)
-    assert len(np.unique(written)) == len(written)
 
 
 def _increase_strictly(rows):
@@ -594,14 +617,11 @@ def test_compiled_edge_order(order):
     batch = Batch(model, pairs)
     diag = _node_diagonals(batch)
     src, dst, op = batch.src, batch.dst, batch.op_idx.astype(np.int64)
-    n_states = len(batch.runtime.states)
-    pair = np.searchsorted(batch.node_offset, dst, "right") - 1
-    to = (dst - batch.node_offset[pair] - 1) % n_states
-    local = src - batch.node_offset[pair] - 1
-    frm = np.where(local < 0, -1, local % n_states)
+    pair, i, j, frm = batch._node_table[:, src].astype(np.int64)
+    _, dst_i, dst_j, to = batch._node_table[:, dst].astype(np.int64)
     cells = _Cells([x for x, _ in pairs], [y for _, y in pairs])
-    src_cell = cells.offset[pair] + np.maximum(local, 0) // n_states
-    dst_cell = cells.offset[pair] + (dst - batch.node_offset[pair] - 1) // n_states
+    src_cell = cells.offset[pair] + i * cells.stride[pair] + j
+    dst_cell = cells.offset[pair] + dst_i * cells.stride[pair] + dst_j
     transition = {tuple(row[:3]): k for k, row in enumerate(batch.runtime.transitions.tolist())}
     rank = np.empty(batch.n_edges, dtype=np.int64)
     n_cells = int(cells.offset[-1])
@@ -615,7 +635,6 @@ def test_compiled_edge_order(order):
         np.testing.assert_array_equal(listed[rank[mine]], key)
     trans = np.array([transition[t] for t in zip(frm.tolist(), op.tolist(), to.tolist())])
     assert _increase_strictly(np.stack((diag[dst], trans, rank)))
-    i, j = np.divmod(np.maximum(local, 0) // n_states, batch.ny[pair] + 1)
     states = batch.runtime.states
     triples, which = np.unique(np.stack((frm, op, to)), axis=1, return_inverse=True)
     group = np.array([
