@@ -31,9 +31,9 @@ backward sweep serves only callers that read beta.
 
 A batch is compiled in one pass over all of its pairs.  Their strings are
 concatenated once, every (i, j) cell of every pair is one row of a flat
-cell table whose predicate bits are computed together, and each
-operation's edges are emitted for all pairs at once, by transition, then
-by cell.  One stable sort of the edges' destination diagonals, in the
+cell table whose predicate masks are one lookup in the model's predicate
+table (see :class:`_Cells`), and each operation's edges are emitted for
+all pairs at once, by transition, then by cell.  One stable sort of the edges' destination diagonals, in the
 narrowest unsigned type that holds them (a radix sort up to 65,536
 diagonals), puts them in forward order, and the emission order holds
 within a diagonal.  So every pair's edges keep, relative to each other,
@@ -41,9 +41,12 @@ the order they have in a batch of that pair alone, and a pair's results
 do not depend on the other pairs of its batch, bit for bit.  The per-edge
 arrays that only training and Viterbi read are made on first use, so fb
 scoring never builds them.  A batch therefore costs a fixed number of
-NumPy calls, a few hundred microseconds, plus time that grows with its
-edges, whether it holds one pair or thousands; single-pair queries pay
-the fixed part each time.
+NumPy calls, about 220 µs for one pair of names on a 2-CPU host, plus time
+that grows with its edges, whether it holds one pair or thousands;
+single-pair queries pay the fixed part each time, and a forward sweep
+about 5.5 µs of call overhead per diagonal.  Hot paths call array methods
+(``a.cumsum()``, ``a.nonzero()[0]``, ``a.repeat(n)``) rather than their
+``np.*`` wrappers, each of which costs a Python call more.
 
 Edges carry a signature id standing for their active feature-id set, a
 (parameter group, predicate mask) pair.  Signature ids belong to the batch:
@@ -84,148 +87,136 @@ def beam_width(beam: Optional[int]) -> Optional[int]:
 
 def _ragged(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Row and rank within the row of every element of rows of the given lengths."""
-    row = np.repeat(np.arange(len(counts)), counts)
-    return row, np.arange(len(row)) - (np.cumsum(counts) - counts)[row]
+    row = np.arange(len(counts)).repeat(counts)
+    return row, np.arange(len(row)) - (counts.cumsum() - counts)[row]
 
 
-def _sorted_unique(values: np.ndarray) -> np.ndarray:
-    """Distinct values, ascending: a sort and one comparison, which on
-    NumPy 2.4 takes a fraction of the time np.unique takes for integers."""
-    values = np.sort(values)
-    return values[np.concatenate(([True], values[1:] != values[:-1]))]
-
-
-def _cell_table(nx: np.ndarray, ny: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(offset, pair, i, j) of the flat cell table of a batch: the cells of
-    pair k are offset[k] + i * (ny[k] + 1) + j, pairs in order."""
+def _cell_table(nx: np.ndarray, ny: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(offset, pair, i, j, stride) of the flat cell table of a batch: the
+    cells of pair k are offset[k] + i * (ny[k] + 1) + j, pairs in order,
+    and stride is ny + 1 of each cell's pair."""
     stride = ny + 1
     counts = (nx + 1) * stride
-    pair, local = _ragged(counts)
+    end = counts.cumsum()
+    pair = np.arange(len(counts)).repeat(counts)
     stride = stride[pair]
-    i = local // stride
-    return np.concatenate(([0], np.cumsum(counts))), pair, i, local - i * stride
+    i, j = np.divmod(np.arange(end[-1]) - (end - counts)[pair], stride)
+    return np.concatenate(([0], end)), pair, i, j, stride
+
+
+# Bits of a cell key, in the order of features.CELL_FACTS.  A text
+# position's flags are its x facts (alpha, digit, punct, end, last), held
+# _Y_SHIFT bits higher at y positions, so a cell's key ORs the flags of
+# its two positions with the two comparisons.  _SEP, a word separator, is
+# a character flag only and never part of a key.
+_ALPHA, _DIGIT, _PUNCT, _END, _LAST, _SEP = 1, 2, 4, 8, 16, 32
+_Y_SHIFT = 5
+_SAME, _SAME_NEXT = 1 << 10, 1 << 11
+_X_END, _Y_END = _END, _END << _Y_SHIFT
+_HAS_NEXT = (_END | _LAST) * (1 | 1 << _Y_SHIFT)
+
+
+def _char_flags(c: str) -> str:
+    """The alpha, digit, punct and separator flags of a character, as the
+    character of that code."""
+    flags = c.isalpha() | c.isdigit() << 1 | (not c.isalnum() and not c.isspace()) << 2
+    return chr(flags | edits.is_separator(c) << 5)
 
 
 class _Cells:
     """The flat cell table of a batch together with its strings.
 
-    All x strings, then all y strings, are concatenated into one text; each
-    character gets its folded code and class flags once, and each string
-    its words once.  Predicate masks and operation landings are then
-    computed for every cell of every pair at once.
+    All x strings, then all y strings, are concatenated into one text, each
+    followed by one terminator position that counts as a separator and as
+    the end of its string, and the text by one padding position.  Each
+    position gets its folded code and class flags once, from one
+    translation of the text per distinct character, and each string its
+    words once.
+
+    Each cell gets a key of the twelve facts that decide every predicate
+    (features.CELL_FACTS): the flags of its x and its y position, which say
+    whether a character is alphabetic, a digit or punctuation, whether it
+    is a terminator and whether the position after it is, and whether the
+    folded codes at the two positions are equal, and at the two after them.
+    The model's predicate table (``FsmModel.predicate_table``), built once
+    per model over all 4,096 keys, maps a key to its mask number, so the
+    masks of a batch are one lookup.  Operation landings are computed for
+    every cell of every pair at once.
     """
 
     def __init__(self, xs: Sequence[str], ys: Sequence[str]):
         self.xs, self.ys = xs, ys
-        self.nx = np.array([len(x) for x in xs], dtype=np.int64)
-        self.ny = np.array([len(y) for y in ys], dtype=np.int64)
-        self.offset, self.pair, self.i, self.j = _cell_table(self.nx, self.ny)
+        n = len(xs)
+        strings = list(xs) + list(ys)
+        lens = np.array([len(s) for s in strings])
+        self.nx, self.ny = lens[:n], lens[n:]
+        self.offset, self.pair, self.i, self.j, self.cell_stride = _cell_table(self.nx, self.ny)
         self.stride = self.ny + 1
-        self.cell_nx, self.cell_ny = self.nx[self.pair], self.ny[self.pair]
-        self.text = "".join(xs) + "".join(ys)
-        self.start = np.concatenate(([0], np.cumsum(np.concatenate((self.nx, self.ny)))))
-        self.code = np.frombuffer(self.text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-        chars = sorted(set(self.text))
-        # One row per distinct character plus a padding row, so that cells
-        # at the end of a string may look one and two characters on.
-        props = np.array(
-            [
-                (
-                    ord(edits.fold(c)),
-                    c.isalpha(),
-                    c.isdigit(),
-                    not c.isalnum() and not c.isspace(),
-                    edits.is_separator(c),
-                )
-                for c in chars
-            ]
-            + [(-1, False, False, False, False)],
-            dtype=np.int64,
-        )
-        at = np.searchsorted(np.array([ord(c) for c in chars], dtype=np.uint32), self.code)
-        props = props[np.concatenate((at, [len(chars)] * 2))].T
-        self.fold = props[0]
-        self.alpha, self.digit, self.punct, self.sep = props[1:].astype(bool)
+        # String s occupies start[s] to tail[s], its terminator.
+        self.start = np.concatenate(([0], (lens + 1).cumsum()))
+        self.tail = self.start[1:] - 1
+        self.text = text = "\0".join(strings) + "\0\0"
+        chars = set(text)
+        self.folded = text.translate({ord(c): edits.fold(c) for c in chars})
+        self.fold = np.frombuffer(self.folded.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+        flags = np.frombuffer(text.translate({ord(c): _char_flags(c) for c in chars}).encode("latin-1"), np.uint8)
+        # A terminator is a separator and its string's end, and the position
+        # before it is the string's last; for an empty string that is the
+        # terminator before it, or the padding, whose facts no predicate
+        # reads.  The padding is no separator: words end before it.
+        self.sep = flags[:-1] >= _SEP
+        self.sep[self.tail] = True
+        side = np.bitwise_and(flags, _ALPHA | _DIGIT | _PUNCT, dtype=np.intp)
+        side[self.tail - 1] |= _LAST
+        side[self.tail] = _END
+        side[self.start[n] :] <<= _Y_SHIFT
         self.gx = self.start[self.pair] + self.i
-        self.gy = self.start[len(xs) + self.pair] + self.j
-
-    def masks(self, predicates: Sequence[str]) -> np.ndarray:
-        """Bitmask of active predicates per cell, bit k = predicates[k]."""
-        i, j, gx, gy, nx, ny = self.i, self.j, self.gx, self.gy, self.cell_nx, self.cell_ny
-        inside = (i < nx) & (j < ny)
-        same = self.fold[gx] == self.fold[gy]
-        same_in, diff_in = inside & same, inside & ~same
-        ax, ay, dx, dy = self.alpha[gx], self.alpha[gy], self.digit[gx], self.digit[gy]
-        has_next = (i + 1 < nx) & (j + 1 < ny)
-        same_next = self.fold[gx + 1] == self.fold[gy + 1]
-        bits = []
-        for name in predicates:
-            if name == "bias":
-                bits.append(np.ones(len(i), dtype=bool))
-            elif name == "same":
-                bits.append(same_in)
-            elif name == "different":
-                bits.append(diff_in)
-            elif name == "same-alphabetic":
-                bits.append(same_in & ax & ay)
-            elif name == "different-alphabetic":
-                bits.append(diff_in & ax & ay)
-            elif name == "same-numeric":
-                bits.append(same_in & dx & dy)
-            elif name == "different-numeric":
-                bits.append(diff_in & dx & dy)
-            elif name == "punctuation-x":
-                bits.append(inside & self.punct[gx])
-            elif name == "punctuation-y":
-                bits.append(inside & self.punct[gy])
-            elif name == "alphabet-mismatch":
-                bits.append(inside & (ax != ay))
-            elif name == "number-mismatch":
-                bits.append(inside & (dx != dy))
-            elif name == "end-of-x":
-                bits.append(i == nx)
-            elif name == "end-of-y":
-                bits.append(j == ny)
-            elif name == "same-next-character":
-                bits.append(has_next & same_next)
-            elif name == "different-next-character":
-                bits.append(has_next & ~same_next)
-            else:
-                raise ValueError(f"unknown predicate {name!r}")
-        # Shift bit k within byte k // 8, then OR each run of 8 rows into
-        # one byte per cell: contiguous row operations, unlike packing
-        # bits along the predicate axis.
-        rows = np.array(bits).view(np.uint8)
-        rows <<= (np.arange(len(rows), dtype=np.uint8) % 8)[:, None]
-        return sum(
-            np.bitwise_or.reduce(rows[k : k + 8]).astype(np.int64) << k for k in range(0, len(rows), 8)
-        )
+        self.gy = self.start[n:][self.pair] + self.j
+        fold, after = self.fold, self.fold[1:]
+        key = side.take(self.gx) | side.take(self.gy)
+        key |= (fold.take(self.gx) == fold.take(self.gy)) * _SAME
+        key |= (after.take(self.gx) == after.take(self.gy)) * _SAME_NEXT
+        self.key = key
 
     @cached_property
-    def runs(self) -> Tuple[np.ndarray, np.ndarray]:
-        """String index and end of the non-separator run of every text position."""
-        n = len(self.text)
-        owner = np.repeat(np.arange(len(self.start) - 1), np.diff(self.start))
-        next_sep = np.minimum.accumulate(np.where(self.sep[:n], np.arange(n), n)[::-1])[::-1]
-        return owner, np.minimum(next_sep, self.start[owner + 1])
+    def run_end(self) -> np.ndarray:
+        """End of the non-separator run of every text position."""
+        n = len(self.sep)
+        return np.minimum.accumulate(np.where(self.sep, np.arange(n), n)[::-1])[::-1]
+
+    def _string_of(self, p: np.ndarray) -> np.ndarray:
+        """String index of every text position p."""
+        return self.start.searchsorted(p, "right") - 1
 
     @cached_property
     def words(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, List[str]]:
         """Pair, side (True for x), start, landing of a skip (the end plus at
         most one separator) and token id of every word of every string,
         positions within the string, and the distinct folded tokens."""
-        owner, run_end = self.runs
-        sep = self.sep[: len(self.text)]
-        first = np.arange(len(sep)) == self.start[owner]
-        starts = np.flatnonzero(~sep & (first | np.concatenate(([True], sep[:-1]))))
-        string, ends = owner[starts], run_end[starts]
+        # Read with a separator before it, the text starts and ends with
+        # one, so the places where separators stop or start alternate: a
+        # word's start, then its end.
+        sep = self.sep
+        bounds = (sep != np.concatenate(([True], sep[:-1]))).nonzero()[0]
+        starts, ends = bounds[::2], bounds[1::2]
+        string = self._string_of(starts)
         base = self.start[string]
-        land = ends + (ends < self.start[string + 1])
-        folded = self.text.translate({ord(c): edits.fold(c) for c in set(self.text)})
+        land = np.minimum(ends + 1, self.tail[string])
         ids = {}
-        tok = [ids.setdefault(folded[a:b], len(ids)) for a, b in zip(starts.tolist(), ends.tolist())]
+        tok = [ids.setdefault(self.folded[a:b], len(ids)) for a, b in zip(starts.tolist(), ends.tolist())]
         n = len(self.xs)
         return string % n, string < n, starts - base, land - base, np.array(tok, dtype=np.int64), list(ids)
+
+    @cached_property
+    def present(self) -> np.ndarray:
+        """Whether each word's token also occurs in the other string of its pair."""
+        pair, in_x, _, _, tok, tokens = self.words
+        # A (pair, token, side) key, whose last bit flipped is the key of
+        # the same token on the other side.
+        key = (pair * len(tokens) + tok) * 2 + in_x
+        ordered = np.sort(key)
+        other = key ^ 1
+        return ordered.searchsorted(other, "right") > ordered.searchsorted(other)
 
     def _x_rows(self, k, i, i_next) -> Tuple[np.ndarray, np.ndarray]:
         """Cells (i, j) of pairs k and their landings (i_next, j), for every j."""
@@ -242,23 +233,23 @@ class _Cells:
     def landings(self, op: str, lexicon) -> Tuple[np.ndarray, np.ndarray]:
         """Source and landing cells of every application of op, as
         :func:`edits.apply_edit` defines them."""
-        i, j, gx, gy, nx, ny = self.i, self.j, self.gx, self.gy, self.cell_nx, self.cell_ny
-        stride = ny + 1
         if op == edits.INSERT:
-            src = np.flatnonzero(j < ny)
+            src = ((self.key & _Y_END) == 0).nonzero()[0]
             return src, src + 1
         if op == edits.DELETE:
-            src = np.flatnonzero(i < nx)
-            return src, src + stride[src]
+            src = ((self.key & _X_END) == 0).nonzero()[0]
+            return src, src + self.cell_stride[src]
         if op == edits.SUBSTITUTE:
-            src = np.flatnonzero((i < nx) & (j < ny))
-            return src, src + stride[src] + 1
+            src = ((self.key & (_X_END | _Y_END)) == 0).nonzero()[0]
+            land = src + self.cell_stride[src]
+            land += 1
+            return src, land
         if op == edits.SWAP:
-            f = self.fold
-            ok = (i + 1 < nx) & (j + 1 < ny)
+            f, gx, gy = self.fold, self.gx, self.gy
+            ok = (self.key & _HAS_NEXT) == 0
             ok &= (f[gx] == f[gy + 1]) & (f[gx + 1] == f[gy]) & (f[gx] != f[gx + 1])
-            src = np.flatnonzero(ok)
-            return src, src + 2 * stride[src] + 2
+            src = ok.nonzero()[0]
+            return src, src + 2 * self.cell_stride[src] + 2
         if op not in edits.WORD_LEVEL_OPS:
             raise ValueError(f"unknown edit operation {op!r}")
         n = len(self.xs)
@@ -266,27 +257,28 @@ class _Cells:
         if op in skip_x or op in (edits.SKIP_ANY_Y, edits.SKIP_LEX_Y, edits.SKIP_PRES_Y):
             pair, in_x, start, land, tok, tokens = self.words
             on_x = op in skip_x
-            keep = side = in_x if on_x else ~in_x
+            keep = in_x if on_x else ~in_x
             if op in (edits.SKIP_LEX_X, edits.SKIP_LEX_Y):
-                keep = side & np.array([t in lexicon for t in tokens], dtype=bool)[tok]
+                keep = keep & np.array([t in lexicon for t in tokens], dtype=bool)[tok]
             elif op in (edits.SKIP_PRES_X, edits.SKIP_PRES_Y):
-                # Words whose (pair, token) key also occurs on the other side.
-                key = pair * len(tokens) + tok
-                other = np.sort(key[~side])
-                keep = side & (np.searchsorted(other, key, "right") > np.searchsorted(other, key))
-            rows = self._x_rows if on_x else self._y_rows
-            return rows(pair[keep], start[keep], land[keep])
-        owner, run_end = self.runs
+                keep = keep & self.present
+            pair = pair[keep]
+            if not len(pair):
+                return pair, pair
+            return (self._x_rows if on_x else self._y_rows)(pair, start[keep], land[keep])
         if op == edits.DELETE_TO_WORD_END_X:
             p = np.flatnonzero(~self.sep[: self.start[n]])
-            base = self.start[owner[p]]
-            return self._x_rows(owner[p], p - base, run_end[p] - base)
+            k = self._string_of(p)
+            base = self.start[k]
+            return self._x_rows(k, p - base, self.run_end[p] - base)
         if op in (edits.SKIP_PAREN_X, edits.SKIP_PAREN_Y):
             # Only an opening parenthesis applies; edits finds its match.
             on_x = op == edits.SKIP_PAREN_X
-            lo, hi = (0, self.start[n]) if on_x else (self.start[n], len(self.text))
-            p = np.flatnonzero(self.code[lo:hi] == ord("(")) + lo
-            k, at = owner[p] % n, p - self.start[owner[p]]
+            lo, hi = (0, self.start[n]) if on_x else (self.start[n], len(self.sep))
+            code = np.frombuffer(self.text[lo:hi].encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+            p = np.flatnonzero(code == ord("(")) + lo
+            string = self._string_of(p)
+            k, at = string % n, p - self.start[string]
             spots = zip(k.tolist(), at.tolist())
             if on_x:
                 ends = [edits.apply_edit(op, self.xs[a], self.ys[a], b, 0, lexicon)[0].i_next for a, b in spots]
@@ -314,21 +306,6 @@ class _Cells:
 _FLOOR = np.finfo(np.float64).min
 
 
-def _segment_logsumexp(vals: np.ndarray, starts: np.ndarray, run: np.ndarray) -> np.ndarray:
-    """Log-sum-exp over the contiguous runs of vals that begin at starts,
-    with run the index of each value's run; vals is overwritten.  Each run
-    is shifted by its max for stability.  Call under errstate(divide="ignore"):
-    an all -inf run takes log(0)."""
-    m = np.maximum.reduceat(vals, starts)
-    np.maximum(m, _FLOOR, out=m)
-    vals -= m.take(run)
-    np.exp(vals, out=vals)
-    sums = np.add.reduceat(vals, starts)
-    np.log(sums, out=sums)
-    sums += m
-    return sums
-
-
 # A step is one destination diagonal: its edge range lo:hi, those edges'
 # sources and destinations, and the range a:z of the nodes on the diagonal.
 _Step = Tuple[int, int, np.ndarray, np.ndarray, int, int]
@@ -338,18 +315,7 @@ def _by_diagonal(diag: np.ndarray, n_diags: int) -> np.ndarray:
     """Stable order of elements by their anti-diagonal, below n_diags,
     sorted in the narrowest unsigned type that holds the diagonals: a
     radix sort up to 16 bits."""
-    return np.argsort(diag.astype(np.min_scalar_type(n_diags - 1)), kind="stable")
-
-
-def _signature_features(codes: np.ndarray, n_predicates: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Entries (signature, feature id) of the indicator of sorted signature
-    codes: code group << n_predicates | mask has features
-    group * n_predicates + p for the set bits p of mask.  Entries run by
-    signature, then by feature, so a bincount over them adds each
-    feature's signatures in ascending order, as a product with the
-    indicator matrix would."""
-    rows, preds = np.nonzero(codes[:, None] >> np.arange(n_predicates) & 1)
-    return rows, (codes[rows] >> n_predicates) * n_predicates + preds
+    return diag.astype(np.min_scalar_type(n_diags - 1)).argsort(kind="stable")
 
 
 class Semiring(NamedTuple):
@@ -399,8 +365,9 @@ def _sweep(steps: List[_Step], values: np.ndarray, w: np.ndarray, semiring: Semi
             vals -= shift.take(dst)
             np.exp(vals, out=vals)
             np.add.at(total, dst, vals)
-            np.log(total[a:z], out=values[a:z])
-            values[a:z] += shift[a:z]
+            out = values[a:z]
+            np.log(total[a:z], out=out)
+            out += shift[a:z]
     return values
 
 
@@ -411,17 +378,19 @@ class Batch:
         self.model = model
         self.runtime = rt = model.transition_table
         xs, ys = [x for x, _ in xy_pairs], [y for _, y in xy_pairs]
-        self.pair_ids = list(pair_ids) if pair_ids is not None else [str(k) for k in range(len(xs))]
         self.n_pairs = len(xs)
         if self.n_pairs == 0:
             raise ValueError("batch requires at least one pair")
+        self.pair_ids = [str(k) for k in range(self.n_pairs)] if pair_ids is None else list(pair_ids)
+        if len(self.pair_ids) != self.n_pairs:
+            raise ValueError(f"{len(self.pair_ids)} pair ids for {self.n_pairs} pairs")
+        for k, (x, y) in enumerate(zip(xs, ys)):
+            if not x and not y:
+                raise DegenerateInputError(
+                    f"pair {self.pair_ids[k]!r}: both strings are empty; no non-empty alignment exists"
+                )
         cells = _Cells(xs, ys)
         self.nx, self.ny = cells.nx, cells.ny
-        empty = np.flatnonzero((self.nx == 0) & (self.ny == 0))
-        if len(empty):
-            raise DegenerateInputError(
-                f"pair {self.pair_ids[empty[0]]!r}: both strings are empty; no non-empty alignment exists"
-            )
         n_states = len(rt.states)
         # Per-cell and per-edge values that fit are kept in int32, to halve
         # the memory the edge arrays pass through.  Arrays that index
@@ -440,42 +409,50 @@ class Batch:
         del rank
         self.n_nodes = self.n_pairs + len(diag) * n_states
         self.start_ids = np.arange(self.n_pairs) * (n_states + 1)
-        cell_masks = cells.masks(model.predicates)
-        masks = _sorted_unique(cell_masks)
-        mask_id = np.searchsorted(masks, cell_masks).astype(np.int32)
-        del cell_masks
+        # The masks of the batch's cells, renumbered in ascending order, as
+        # the model's mask numbers ascend with the masks.
+        mask_of_key, mask_bits = model.predicate_table
+        mask_id = mask_of_key.take(cells.key)
+        in_batch = np.bincount(mask_id, minlength=len(mask_bits)) > 0
+        mask_id = (in_batch.cumsum(dtype=np.int32) - 1).take(mask_id)
+        mask_bits = mask_bits[in_batch]
         frm, op_idx, to, group, _ = rt.transitions.T
         # Every application of an operation, once per transition of that
         # operation: transitions from q0 apply at cell (0, 0) only.  Edges
         # are emitted in transition order and then sorted.
         apps = [cells.landings(op, model.lexicon_union) for op in model.ops]
+        final = base.take(cells.offset[1:] - 1)
+        del cells
         at_start = diag == 0
-        starts = [(src[at_start[src]], land[at_start[src]]) for src, land in apps]
+        starts = []
+        for src, land in apps:
+            first = at_start.take(src)
+            starts.append((src[first], land[first]))
         blocks = [(starts if f < 0 else apps)[k] for f, k in zip(frm.tolist(), op_idx.tolist())]
-        lens = [len(src) for src, _ in blocks]
-        cell = np.concatenate([src for src, _ in blocks])
-        land = np.concatenate([land for _, land in blocks])
+        lens = np.array([len(src) for src, _ in blocks])
+        cell, land = (np.concatenate(c) for c in zip(*blocks))
         del apps, starts, blocks
         src = base.take(cell)
-        src += np.repeat(frm, lens)
+        src += frm.repeat(lens)
         dst = base.take(land)
-        dst += np.repeat(to, lens)
+        dst += to.repeat(lens)
         dst_diag = diag.take(land)
         del land
         # Signature ids number the (group, mask) pairs of the batch's own
-        # edges in sorted order, which is the order of their codes
-        # group << n_predicates | mask, so they depend on nothing else.
-        key = np.repeat((group * len(masks)).astype(np.intp), lens)
+        # edges in sorted order, which is the order of their (group, mask
+        # number) keys, so they depend on nothing else.
+        n_masks = len(mask_bits)
+        key = (group * n_masks).repeat(lens)
         key += mask_id.take(cell)
-        used = np.bincount(key, minlength=model.n_groups * len(masks)) > 0
-        sig = (np.cumsum(used, dtype=np.intp) - 1).take(key)
+        used = np.bincount(key, minlength=model.n_groups * n_masks) > 0
+        sig = (used.cumsum(dtype=np.intp) - 1).take(key)
         del key
-        op = np.repeat(op_idx.astype(np.int8), lens)
+        op = op_idx.astype(np.int8).repeat(lens)
         del cell
         # Forward order is by destination diagonal only, and within one by
         # emission order.
         order = _by_diagonal(dst_diag, n_diags)
-        edge_end = np.cumsum(np.bincount(dst_diag, minlength=n_diags)).tolist()
+        edge_end = np.bincount(dst_diag, minlength=n_diags).cumsum().tolist()
         del dst_diag
         # Permute one array at a time and free its unsorted copy before the
         # next, so that the build holds one spare edge array, not four.
@@ -487,21 +464,33 @@ class Batch:
         self.n_edges = len(self.src)
         # Diagonal d's nodes end after the start nodes and the states of
         # the cells of diagonals 0 to d.
-        node_end = (self.n_pairs + np.cumsum(np.bincount(diag, minlength=n_diags)) * n_states).tolist()
+        node_end = (self.n_pairs + np.bincount(diag, minlength=n_diags).cumsum() * n_states).tolist()
         self._steps: List[_Step] = [
             (lo, hi, self.src[lo:hi], self.dst[lo:hi], a, z)
             for lo, hi, a, z in zip([0] + edge_end[:-1], edge_end, [0] + node_end[:-1], node_end)
             if hi > lo
         ]
-        key = np.flatnonzero(used)
-        self.n_sigs = len(key)
-        n_predicates = len(model.predicates)
-        codes = (key // len(masks)) << n_predicates | masks[key % len(masks)]
-        self.sig_rows, self.sig_features = _signature_features(codes, n_predicates)
-        final = base.take(cells.offset[1:] - 1)
-        n_s0 = len(model.topology.s0)
-        self.acc0 = final[:, None] + np.arange(n_s0)
-        self.acc1 = final[:, None] + np.arange(n_s0, n_states)
+        # Each signature has the features group * n_predicates + p for
+        # the predicates p of its mask, by signature, then by feature, so
+        # a bincount over them adds each feature's signatures in ascending
+        # order, as a product with the indicator matrix would.
+        sig_group, sig_mask = np.divmod(used.nonzero()[0], n_masks)
+        self.n_sigs = len(sig_group)
+        self.sig_rows, preds = mask_bits[sig_mask].nonzero()
+        self.sig_features = sig_group.take(self.sig_rows) * len(model.predicates) + preds
+        # The nodes of each pair's final cell, S0 states first, are its
+        # accepting nodes.
+        self._accepting = final[:, None] + np.arange(n_states)
+
+    @property
+    def acc0(self) -> np.ndarray:
+        """Each pair's accepting nodes in S0, one row per pair."""
+        return self._accepting[:, : len(self.model.topology.s0)]
+
+    @property
+    def acc1(self) -> np.ndarray:
+        """Each pair's accepting nodes in S1, one row per pair."""
+        return self._accepting[:, len(self.model.topology.s0) :]
 
     # -- potentials ---------------------------------------------------
 
@@ -514,7 +503,7 @@ class Batch:
 
     def _cells_by_rank(self) -> np.ndarray:
         """(pair, i, j) of every cell, one row each, in node order."""
-        _, pair, i, j = _cell_table(self.nx, self.ny)
+        _, pair, i, j, _ = _cell_table(self.nx, self.ny)
         diag = i + j
         return np.stack((pair, i, j))[:, _by_diagonal(diag, int(diag.max()) + 1)]
 
@@ -619,13 +608,21 @@ class Batch:
     # -- aggregates ---------------------------------------------------
 
     def log_partitions(self, alpha: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        rows = np.arange(self.n_pairs)
+        """Each pair's log-sum of alpha over its S0 and over its S1
+        accepting nodes, in one pass over the (pair, state) table of those
+        nodes: each subset's terms are shifted by their max for stability."""
+        vals = alpha.take(self._accepting)
+        n_s0 = len(self.model.topology.s0)
+        subsets = (0, n_s0)
+        m = np.maximum.reduceat(vals, subsets, axis=1)
+        np.maximum(m, _FLOOR, out=m)
+        vals -= m.repeat((n_s0, vals.shape[1] - n_s0), axis=1)
+        np.exp(vals, out=vals)
+        sums = np.add.reduceat(vals, subsets, axis=1)
         with np.errstate(divide="ignore"):
-            lz0, lz1 = (
-                _segment_logsumexp(alpha[acc].ravel(), rows * acc.shape[1], rows.repeat(acc.shape[1]))
-                for acc in (self.acc0, self.acc1)
-            )
-        return lz0, lz1
+            np.log(sums, out=sums)
+        sums += m
+        return sums[:, 0], sums[:, 1]
 
     def posterior_counts(
         self,

@@ -8,7 +8,9 @@ distance costs; the landing is available to callers that want it.
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Tuple
+from typing import Dict, FrozenSet, Iterable, Sequence, Tuple
+
+import numpy as np
 
 from .edits import fold, is_separator, tokens
 
@@ -91,6 +93,65 @@ def eval_predicate(name: str, x: str, y: str, i: int, j: int) -> int:
     if name == "number-mismatch":
         return int(cx.isdigit() != cy.isdigit())
     raise ValueError(f"unknown predicate {name!r}")
+
+
+# The facts about a cell (i, j) that decide every predicate, bit k of a
+# cell key being CELL_FACTS[k]: for x, then for y, whether the character
+# at the cell is alphabetic, a digit or punctuation, whether there is none
+# (the cell is at the string's end) and whether it is the string's last;
+# then whether the two characters fold to the same one, and whether the
+# two after them do.
+CELL_FACTS = (
+    "alpha-x", "digit-x", "punct-x", "end-x", "last-x",
+    "alpha-y", "digit-y", "punct-y", "end-y", "last-y",
+    "same", "same-next",
+)
+
+
+def predicate_table(predicates: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
+    """Predicate masks of every cell key, as (mask_of_key, bits): the
+    masks that occur, ascending, are numbered 0, 1, ...; cell key k has
+    mask number mask_of_key[k], and bits[m, p] says whether predicate
+    predicates[p] is active under mask m, which is bit p of the mask.
+    The same rules as :func:`eval_predicate`, over all keys at once."""
+    keys = np.arange(1 << len(CELL_FACTS), dtype=np.uint16)
+    facts = keys >> np.arange(len(CELL_FACTS), dtype=np.uint16)[:, None] & 1
+    fact = dict(zip(CELL_FACTS, facts.astype(bool)))
+    inside = ~fact["end-x"] & ~fact["end-y"]
+    same, different = inside & fact["same"], inside & ~fact["same"]
+    alpha = fact["alpha-x"] & fact["alpha-y"]
+    digit = fact["digit-x"] & fact["digit-y"]
+    has_next = inside & ~fact["last-x"] & ~fact["last-y"]
+    rules = {
+        "same": same,
+        "different": different,
+        "same-alphabetic": same & alpha,
+        "different-alphabetic": different & alpha,
+        "same-numeric": same & digit,
+        "different-numeric": different & digit,
+        "punctuation-x": inside & fact["punct-x"],
+        "punctuation-y": inside & fact["punct-y"],
+        "alphabet-mismatch": inside & (fact["alpha-x"] != fact["alpha-y"]),
+        "number-mismatch": inside & (fact["digit-x"] != fact["digit-y"]),
+        "end-of-x": fact["end-x"],
+        "end-of-y": fact["end-y"],
+        "same-next-character": has_next & fact["same-next"],
+        "different-next-character": has_next & ~fact["same-next"],
+        "bias": np.ones(len(keys), dtype=bool),
+    }
+    for name in predicates:
+        if name not in rules:
+            raise ValueError(f"unknown predicate {name!r}")
+    bits = np.array([rules[name] for name in predicates]).reshape(len(predicates), len(keys))
+    masks = np.zeros(len(keys), dtype=np.uint32)
+    for p, row in enumerate(bits):
+        masks |= np.left_shift(row, p, dtype=np.uint32)
+    # Rank the masks by one stable radix sort of 16-bit values.
+    order = masks.astype(np.min_scalar_type(masks.max())).argsort(kind="stable")
+    first = np.concatenate(([True], masks[order[1:]] != masks[order[:-1]]))
+    mask_of_key = np.empty(len(keys), dtype=np.uint16)
+    mask_of_key[order] = first.cumsum() - 1
+    return mask_of_key, bits.T[order[first]]
 
 
 def normalize_predicates(names: Iterable[str]) -> Tuple[str, ...]:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import edits
 from .errors import ModelFormatError
-from .features import PREDICATES, LexiconSet, normalize_predicates
+from .features import PREDICATES, LexiconSet, normalize_predicates, predicate_table
 
 Q0 = 0
 FIRST_ORDER = "first-order"
@@ -197,6 +197,16 @@ class FsmModel:
         ).reshape(-1, 5)
         rows.setflags(write=False)
         return TransitionTable(states, MappingProxyType(state_index), rows)
+
+    @cached_property
+    def predicate_table(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(mask_of_key, bits) of :func:`features.predicate_table` for the
+        model's predicates: each cell key's mask number, and each mask's
+        predicate bits."""
+        mask_of_key, bits = predicate_table(self.predicates)
+        mask_of_key.setflags(write=False)
+        bits.setflags(write=False)
+        return mask_of_key, bits
 
     @property
     def n_groups(self) -> int:

@@ -29,7 +29,7 @@ from editcrf import edits
 from editcrf.data import NoiseConfig, random_person_names, synthesize_names
 from editcrf.engine import MAX, Batch, _Cells, beam_width, expectations
 from editcrf.errors import DegenerateInputError, NoPathError
-from editcrf.features import LexiconSet, eval_predicate
+from editcrf.features import LexiconSet, eval_predicate, predicate_table
 from editcrf.lattice import _BestPaths, alignment_feature_counts
 from editcrf.model import Q0
 from conftest import oracle_terms
@@ -47,6 +47,19 @@ WORDY_PAIRS = [
     ("", "the lab"),
     ("Lab (of) MIT", ""),
     ("a1-B2 c3;d", "A1 b2-C3 (d)"),
+]
+
+# Pairs for the character and word tables: a character whose lower() is
+# two characters (İ), ß, É and é, an astral emoji, an Arabic-Indic digit,
+# a tab, and leading, trailing, doubled and separator-only runs.  The
+# first and the last pair alone apply every registered operation.
+ODD_PAIRS = [
+    ("İß DÉPT", "ßİ (département)"),
+    ("  a ", " "),
+    ("a  b", "  A b"),
+    ("Émile\té", "émile É"),
+    ("É. 😀 ٣4", "émile ٣4 😀"),
+    (" (ß) ss", "ss"),
 ]
 
 
@@ -398,13 +411,44 @@ def test_no_path_error_under_substitute_only():
 
 
 def test_mask_grid_matches_eval_predicate():
+    """Every cell's mask from its key and the predicate table, in a
+    multi-pair table of the odd characters, holds the predicates
+    eval_predicate finds there: for the default predicates, through the
+    model's table, and for a subset in another order."""
     model = build_model(["insert", "delete", "substitute"])
-    x, y = "a1(b.", "B1 a."
-    mask = _Cells([x], [y]).masks(model.predicates).reshape(len(x) + 1, len(y) + 1)
-    for i in range(len(x) + 1):
-        for j in range(len(y) + 1):
-            for bit, name in enumerate(model.predicates):
-                assert (mask[i, j] >> bit) & 1 == eval_predicate(name, x, y, i, j)
+    pairs = [("a1(b.", "B1 a."), ("", "x\t"), ("ab", "")] + ODD_PAIRS
+    cells = _Cells([x for x, _ in pairs], [y for _, y in pairs])
+    subset = ("end-of-y", "same", "punctuation-x", "different-next-character")
+    for predicates, (mask_of_key, bits) in (
+        (model.predicates, model.predicate_table),
+        (subset, predicate_table(subset)),
+    ):
+        masks = bits[mask_of_key[cells.key]] @ (1 << np.arange(len(predicates)))
+        for k, (x, y) in enumerate(pairs):
+            mask = masks[cells.offset[k] : cells.offset[k + 1]].reshape(len(x) + 1, len(y) + 1)
+            for i in range(len(x) + 1):
+                for j in range(len(y) + 1):
+                    for bit, name in enumerate(predicates):
+                        assert (mask[i, j] >> bit) & 1 == eval_predicate(name, x, y, i, j)
+
+
+def test_predicate_table_numbers_masks_in_order():
+    """Mask numbers ascend with the masks, each mask once, and an
+    unknown predicate is an error."""
+    mask_of_key, bits = predicate_table(("same", "bias", "end-of-x"))
+    masks = bits @ (1 << np.arange(3))
+    assert (np.diff(masks) > 0).all()
+    assert set(mask_of_key.tolist()) == set(range(len(masks)))
+    with pytest.raises(ValueError, match="unknown predicate"):
+        predicate_table(("same", "no-such-predicate"))
+
+
+def test_batch_rejects_pair_ids_of_another_length(ids_model):
+    with pytest.raises(ValueError, match="1 pair ids for 2 pairs"):
+        Batch(ids_model, [("ab", "ac"), ("", "")], pair_ids=["only"])
+    with pytest.raises(ValueError, match="2 pair ids for 1 pairs"):
+        Batch(ids_model, [("ab", "ac")], pair_ids=["a", "b"])
+    assert Batch(ids_model, [("ab", "ac")], pair_ids=("a",)).pair_ids == ["a"]
 
 
 def test_batch_of_many_matches_per_pair(ids_model):
@@ -533,15 +577,22 @@ def _applied_edges(model, pairs):
     return out
 
 
-@pytest.mark.parametrize("order, n_pairs", [("first-order", len(WORDY_PAIRS)), ("second-order", 3)])
-def test_compiled_edges_match_apply_edit(order, n_pairs):
+@pytest.mark.parametrize(
+    "order, pairs",
+    [
+        pytest.param("first-order", WORDY_PAIRS, id="first-order-7"),
+        pytest.param("second-order", WORDY_PAIRS[:3], id="second-order-3"),
+        pytest.param("first-order", ODD_PAIRS, id="first-order-odd"),
+        pytest.param("second-order", ODD_PAIRS[::5], id="second-order-odd"),
+    ],
+)
+def test_compiled_edges_match_apply_edit(order, pairs):
     """Every edge of a multi-pair batch, for all registered operations, is
     one application of a transition that edits.apply_edit allows, with the
     predicates features.eval_predicate finds at its source cell, and every
     such application is one edge."""
-    lexicon = LexiconSet("words", frozenset({"the", "of", "corp.", "acm", "lab"}))
+    lexicon = LexiconSet("words", frozenset({"the", "of", "corp.", "acm", "lab", "ss", "a"}))
     model = build_model(edits.registry(), order, lexicons={"words": lexicon})
-    pairs = WORDY_PAIRS[:n_pairs]
     got = _decoded_edges(Batch(model, pairs))
     want = _applied_edges(model, pairs)
     assert len(set(got)) == len(got)
