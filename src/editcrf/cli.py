@@ -44,7 +44,7 @@ from .evaluation import (
     recall,
     run_ablation,
 )
-from .features import build_lexicon, normalize_predicates, LexiconSet
+from .features import build_lexicon, LexiconSet
 from .engine import Batch
 from .lattice import _BestPaths, match_posteriors
 from .model import FIRST_ORDER, SECOND_ORDER, build_model, load_model, save_model
@@ -74,13 +74,17 @@ OP_CODES = {
 }
 
 
-def _parse_bool(text: str) -> bool:
+class CliError(Exception):
+    """Usage-level error raised by command implementations."""
+
+
+def _parse_bool(key: str, text: str) -> bool:
     low = text.strip().lower()
     if low in ("1", "true", "yes", "on"):
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise ValueError(f"expected a boolean, got {text!r}")
+    raise CliError(f"config key {key}: expected a boolean, got {text!r}")
 
 
 def _parse_beam(text: str) -> Optional[int]:
@@ -89,76 +93,19 @@ def _parse_beam(text: str) -> Optional[int]:
     return int(text)
 
 
-DEFAULTS: Dict[str, object] = {
-    "sigma2": 10.0,
-    "em_iters": 20,
-    "em_tol": 1e-5,
-    "mstep_iters": 50,
-    "mstep_grad_tol": 1e-4,
-    "beam": None,
-    "order": 1,
-    "features": None,
-    "ops": "insert,delete,substitute",
-    "ratio": 10,
-    "filter": "jaro",
-    "threshold": 0.5,
-    "seed": 0,
-    "inference": "fb",
-    "transitive_closure": False,
-    "direct": False,
-    "duplicates": 3,
-    "record_error_prob": 0.4,
-    "typo_insert_prob": 0.4,
-    "typo_delete_prob": 0.4,
-    "typo_swap_prob": 0.4,
-    "word_swap_prob": 0.5,
-    "lexicon_top_k": 25,
-    "split_mode": "pair",
-    "split_fraction": 0.5,
-    "fold_swap": True,
-    "splits": 1,
-    "top": 20,
-    "subset": "best",
-}
-
-CONVERTERS = {
-    "sigma2": float,
-    "em_iters": int,
-    "em_tol": float,
-    "mstep_iters": int,
-    "mstep_grad_tol": float,
-    "beam": _parse_beam,
-    "order": int,
-    "features": str,
-    "ops": str,
-    "ratio": int,
-    "filter": str,
-    "threshold": float,
-    "seed": int,
-    "inference": str,
-    "transitive_closure": _parse_bool,
-    "direct": _parse_bool,
-    "duplicates": int,
-    "record_error_prob": float,
-    "typo_insert_prob": float,
-    "typo_delete_prob": float,
-    "typo_swap_prob": float,
-    "word_swap_prob": float,
-    "lexicon_top_k": int,
-    "split_mode": str,
-    "split_fraction": float,
-    "fold_swap": _parse_bool,
-    "splits": int,
-    "top": int,
-    "subset": str,
-}
-
-
-class CliError(Exception):
-    """Usage-level error raised by command implementations."""
-
-
 class _Parser(argparse.ArgumentParser):
+    """Exits with EXIT_USAGE on a usage error, and keeps each flag added to
+    it by dest, so that a config file can name them."""
+
+    def __init__(self, *args, **kwargs):
+        self.flags: Dict[str, argparse.Action] = {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.flags[action.dest] = action
+        return action
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -182,23 +129,28 @@ def _parse_config_file(path: str) -> Dict[str, str]:
     return values
 
 
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    file_vals = _parse_config_file(args.config) if getattr(args, "config", None) else {}
-    for key, default in DEFAULTS.items():
-        if not hasattr(args, key):
-            continue
-        if getattr(args, key) is None:
-            if key in file_vals:
-                try:
-                    setattr(args, key, CONVERTERS[key](file_vals[key]))
-                except ValueError as exc:
-                    raise CliError(f"config key {key}: {exc}") from exc
-            else:
-                setattr(args, key, default)
-    unknown = set(file_vals) - set(DEFAULTS)
+def _set_config_defaults(commands: Dict[str, _Parser], args: argparse.Namespace) -> None:
+    """Make the config file's values the defaults of args.command's flags.
+
+    argparse parses a string default with its flag's type, so the next
+    parse reads the file's values as it reads flags, and a flag given on
+    the command line still wins.  A key names a flag of any command; one
+    that this command lacks, or a required flag, is ignored.
+    """
+    values = _parse_config_file(args.config)
+    known = {dest for p in commands.values() for dest in p.flags} - {"help", "config"}
+    unknown = set(values) - known
     if unknown:
         raise CliError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    return args
+    command = commands[args.command]
+    defaults = {}
+    for key, text in values.items():
+        flag = command.flags.get(key)
+        if flag is None or flag.required:
+            continue
+        # A store_true flag takes no value, so it has no type to parse one.
+        defaults[key] = _parse_bool(key, text) if flag.nargs == 0 else text
+    command.set_defaults(**defaults)
 
 
 def _split_list(text: Optional[str]) -> Optional[List[str]]:
@@ -218,12 +170,12 @@ def _ops_of(args) -> List[str]:
     return ops
 
 
-def _order_of(args) -> str:
-    if args.order == 1:
-        return FIRST_ORDER
-    if args.order == 2:
-        return SECOND_ORDER
-    raise CliError("--order must be 1 or 2")
+def _order_of(order) -> str:
+    """The tying of --order 1 or 2, given as an int or as text."""
+    tying = {"1": FIRST_ORDER, "2": SECOND_ORDER}.get(str(order))
+    if tying is None:
+        raise CliError("--order must be 1 or 2")
+    return tying
 
 
 def _train_config(args) -> TrainConfig:
@@ -316,7 +268,7 @@ def cmd_train(args) -> int:
                 (s for p in pairs for s in (p.x, p.y)), top_k=args.lexicon_top_k
             )
             lexicons[lex.name] = lex
-    model = build_model(ops, _order_of(args), predicates=features, lexicons=lexicons)
+    model = build_model(ops, _order_of(args.order), predicates=features, lexicons=lexicons)
     config = _train_config(args)
     if args.direct:
         state = direct_train(model, pairs, config)
@@ -458,6 +410,8 @@ def cmd_align(args) -> int:
 
 
 def _parse_variant(text: str) -> Variant:
+    """One --variant, its fields read by the rules of the train flags of
+    the same names."""
     fields = {}
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -467,16 +421,21 @@ def _parse_variant(text: str) -> Variant:
             raise CliError(f"variant field {chunk!r} is not key=value")
         key, value = chunk.split("=", 1)
         fields[key.strip()] = value.strip()
+    unknown = set(fields) - {"name", "ops", "features", "order", "inference"}
+    if unknown:
+        raise CliError(f"unknown variant fields: {', '.join(sorted(unknown))}")
     if "name" not in fields or "ops" not in fields:
         raise CliError("variant needs at least name=...;ops=...")
+    inference = fields.get("inference", "fb")
+    if inference not in ("fb", "viterbi"):
+        raise CliError("variant inference must be fb or viterbi")
     features = _split_list(fields.get("features"))
-    order = FIRST_ORDER if fields.get("order", "1") == "1" else SECOND_ORDER
     return Variant(
         name=fields["name"],
         ops=tuple(_split_list(fields["ops"]) or ()),
         features=tuple(features) if features else None,
-        order=order,
-        inference=fields.get("inference", "fb"),
+        order=_order_of(fields.get("order", "1")),
+        inference=inference,
     )
 
 
@@ -519,127 +478,116 @@ def cmd_inspect(args) -> int:
     return EXIT_OK
 
 
-def _add_common(parser):
-    parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--seed", type=int)
+def _command(sub, name: str, func, help: str) -> _Parser:
+    """The parser of one command, with the flags that every command takes."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("--config", help="key=value config file")
+    p.add_argument("--seed", type=int, default=SamplingConfig.seed)
+    p.set_defaults(func=func)
+    return p
 
 
 def _add_train_flags(parser):
-    parser.add_argument("--sigma2", type=float)
-    parser.add_argument("--em-iters", dest="em_iters", type=int)
-    parser.add_argument("--em-tol", dest="em_tol", type=float)
-    parser.add_argument("--mstep-iters", dest="mstep_iters", type=int)
-    parser.add_argument("--mstep-grad-tol", dest="mstep_grad_tol", type=float)
-    parser.add_argument("--beam", type=_parse_beam)
-    parser.add_argument("--inference", choices=("fb", "viterbi"))
+    parser.add_argument("--sigma2", type=float, default=TrainConfig.sigma2)
+    parser.add_argument("--em-iters", dest="em_iters", type=int, default=TrainConfig.em_max_iters)
+    parser.add_argument("--em-tol", dest="em_tol", type=float, default=TrainConfig.em_tol)
+    parser.add_argument("--mstep-iters", dest="mstep_iters", type=int,
+                        default=TrainConfig.mstep_max_iters)
+    parser.add_argument("--mstep-grad-tol", dest="mstep_grad_tol", type=float,
+                        default=TrainConfig.mstep_grad_tol)
+    parser.add_argument("--beam", type=_parse_beam, default=TrainConfig.beam)
+    parser.add_argument("--inference", choices=("fb", "viterbi"), default="fb")
 
 
 def _add_model_flags(parser):
-    parser.add_argument("--ops")
+    parser.add_argument("--ops", default="insert,delete,substitute")
     parser.add_argument("--features")
-    parser.add_argument("--order", type=int, choices=(1, 2))
+    parser.add_argument("--order", type=int, choices=(1, 2), default=1)
     parser.add_argument("--lexicon")
-    parser.add_argument("--lexicon-top-k", dest="lexicon_top_k", type=int)
+    parser.add_argument("--lexicon-top-k", dest="lexicon_top_k", type=int, default=25)
 
 
 def _add_sampling_flags(parser):
-    parser.add_argument("--ratio", type=int)
-    parser.add_argument("--filter", choices=("jaro", "cosine", "handset"))
+    parser.add_argument("--ratio", type=int, default=SamplingConfig.ratio)
+    parser.add_argument("--filter", choices=("jaro", "cosine", "handset"), default="jaro")
 
 
 def _add_noise_flags(parser):
-    parser.add_argument("--record-error-prob", dest="record_error_prob", type=float)
-    parser.add_argument("--typo-insert-prob", dest="typo_insert_prob", type=float)
-    parser.add_argument("--typo-delete-prob", dest="typo_delete_prob", type=float)
-    parser.add_argument("--typo-swap-prob", dest="typo_swap_prob", type=float)
-    parser.add_argument("--word-swap-prob", dest="word_swap_prob", type=float)
+    for rate in ("record_error_prob", "typo_insert_prob", "typo_delete_prob",
+                 "typo_swap_prob", "word_swap_prob"):
+        parser.add_argument("--" + rate.replace("_", "-"), dest=rate, type=float,
+                            default=getattr(NoiseConfig, rate))
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="editcrf", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # by name, for the config file's keys
 
-    p = sub.add_parser("synth", help="generate noisy duplicate records")
-    _add_common(p)
+    p = _command(sub, "synth", cmd_synth, "generate noisy duplicate records")
     p.add_argument("--names", help="file with one base name per line")
     p.add_argument("--random-names", dest="random_names", type=int, help="draw N built-in names")
-    p.add_argument("--duplicates", type=int)
+    p.add_argument("--duplicates", type=int, default=3)
     _add_noise_flags(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("pairs", help="generate labeled pairs from records")
-    _add_common(p)
+    p = _command(sub, "pairs", cmd_pairs, "generate labeled pairs from records")
     p.add_argument("--records", required=True)
     _add_sampling_flags(p)
     p.add_argument("--out", required=True)
     p.add_argument("--train-out", dest="train_out")
     p.add_argument("--test-out", dest="test_out")
-    p.add_argument("--split-mode", dest="split_mode", choices=("entity", "pair"))
-    p.add_argument("--split-fraction", dest="split_fraction", type=float)
-    p.set_defaults(func=cmd_pairs)
+    p.add_argument("--split-mode", dest="split_mode", choices=("entity", "pair"), default="pair")
+    p.add_argument("--split-fraction", dest="split_fraction", type=float, default=0.5)
 
-    p = sub.add_parser("train", help="train a model on labeled pairs")
-    _add_common(p)
+    p = _command(sub, "train", cmd_train, "train a model on labeled pairs")
     p.add_argument("--pairs")
     p.add_argument("--records")
     _add_sampling_flags(p)
     _add_model_flags(p)
     _add_train_flags(p)
-    p.add_argument("--direct", action="store_true", default=None,
+    p.add_argument("--direct", action="store_true",
                    help="optimize the penalized likelihood directly instead of EM")
     p.add_argument("--out", required=True)
     p.add_argument("--log")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("score", help="score pairs with a trained model")
-    _add_common(p)
+    p = _command(sub, "score", cmd_score, "score pairs with a trained model")
     p.add_argument("--model", required=True)
     p.add_argument("--pairs", required=True)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--inference", choices=("fb", "viterbi"))
+    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--inference", choices=("fb", "viterbi"), default="fb")
     p.add_argument("--beam", type=_parse_beam)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("eval", help="precision/recall/F1 from scores")
-    _add_common(p)
+    p = _command(sub, "eval", cmd_eval, "precision/recall/F1 from scores")
     p.add_argument("--scores", required=True)
     p.add_argument("--pairs", required=True)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--transitive-closure", dest="transitive_closure",
-                   action="store_true", default=None)
+    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--transitive-closure", dest="transitive_closure", action="store_true")
     p.add_argument("--out")
     p.add_argument("--curve-out", dest="curve_out")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("align", help="render best alignments for one pair")
-    _add_common(p)
+    p = _command(sub, "align", cmd_align, "render best alignments for one pair")
     p.add_argument("--model", required=True)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    p.add_argument("--subset", choices=("match", "mismatch", "best"))
-    p.set_defaults(func=cmd_align)
+    p.add_argument("--subset", choices=("match", "mismatch", "best"), default="best")
 
-    p = sub.add_parser("ablate", help="train and compare model variants")
-    _add_common(p)
+    p = _command(sub, "ablate", cmd_ablate, "train and compare model variants")
     p.add_argument("--pairs", required=True)
     p.add_argument("--variant", action="append", required=True,
                    help="name=...;ops=a,b;features=s,d;order=1;inference=fb (repeatable)")
-    p.add_argument("--splits", type=int)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--split-mode", dest="split_mode", choices=("entity", "pair"))
-    p.add_argument("--fold-swap", dest="fold_swap", action="store_true", default=None)
-    p.add_argument("--lexicon-top-k", dest="lexicon_top_k", type=int)
+    p.add_argument("--splits", type=int, default=1)
+    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--split-mode", dest="split_mode", choices=("entity", "pair"), default="pair")
+    p.add_argument("--fold-swap", dest="fold_swap", action="store_true", default=True)
+    p.add_argument("--lexicon-top-k", dest="lexicon_top_k", type=int, default=25)
     _add_train_flags(p)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("inspect", help="print topology and top weights")
-    _add_common(p)
+    p = _command(sub, "inspect", cmd_inspect, "print topology and top weights")
     p.add_argument("--model", required=True)
-    p.add_argument("--top", type=int)
-    p.set_defaults(func=cmd_inspect)
+    p.add_argument("--top", type=int, default=20)
 
     return parser
 
@@ -648,11 +596,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            _set_config_defaults(parser.commands, args)
+            args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        args = _merge_config(args)
-        return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -90,15 +90,23 @@ def posterior_match(model: FsmModel, x: str, y: str, beam: Optional[int] = None)
     return float(p[0])
 
 
+def _check_inference(inference: str, beam: Optional[int]) -> None:
+    """Raise ValueError unless inference is "fb", or "viterbi" with no
+    beam: the best-path sweep is exact and has no beam to apply."""
+    if inference not in ("fb", "viterbi"):
+        raise ValueError("inference must be 'fb' or 'viterbi'")
+    if inference == "viterbi" and beam is not None:
+        raise ValueError("a beam applies to fb inference only, not to viterbi")
+
+
 def match_posteriors(
     batch: Batch, inference: str = "fb", beam: Optional[int] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Each pair's total log mass, not finite when the pair has no complete
     alignment, and its p(match) under the batch's model: the S1 share of
-    alignment mass under "fb", of exponentiated best-path scores under
-    "viterbi", which ignores the beam."""
-    if inference not in ("fb", "viterbi"):
-        raise ValueError("inference must be 'fb' or 'viterbi'")
+    alignment mass under "fb", within the beam when one is set, and of
+    exponentiated best-path scores under "viterbi", which takes no beam."""
+    _check_inference(inference, beam)
     w = batch.edge_weights(batch.model.params)
     if inference == "fb":
         lz0, lz1 = batch.log_partitions(batch.forward(w, beam)[0])

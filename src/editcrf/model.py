@@ -149,30 +149,22 @@ class FsmModel:
         object.__setattr__(self, "lexicons", dict(self.lexicons))
 
     @cached_property
-    def groups(self) -> Tuple[Group, ...]:
-        seen: Dict[object, int] = {}
-        out: List[Group] = []
-        for t in self.topology.transitions:
-            key = _group_key(self.tying, t)
-            if key in seen:
-                continue
-            subset = self.topology.subset_of(t.to)
-            seen[key] = len(out)
-            out.append(Group(len(out), _group_label(self.tying, t), t.op, subset))
-        return tuple(out)
-
-    @cached_property
-    def _group_index(self) -> Dict[object, int]:
-        index: Dict[object, int] = {}
-        for t in self.topology.transitions:
-            key = _group_key(self.tying, t)
-            if key not in index:
-                index[key] = len(index)
-        return index
-
-    @cached_property
     def _transition_group(self) -> Dict[Transition, int]:
-        return {t: self._group_index[_group_key(self.tying, t)] for t in self.topology.transitions}
+        """Each transition's group: groups are numbered in the order in which
+        the transitions first reach their tying keys."""
+        index: Dict[object, int] = {}
+        return {
+            t: index.setdefault(_group_key(self.tying, t), len(index))
+            for t in self.topology.transitions
+        }
+
+    @cached_property
+    def groups(self) -> Tuple[Group, ...]:
+        out: List[Group] = []
+        for t, g in self._transition_group.items():
+            if g == len(out):
+                out.append(Group(g, _group_label(self.tying, t), t.op, self.topology.subset_of(t.to)))
+        return tuple(out)
 
     def group_of_transition(self, frm: int, op: str, to: int) -> Optional[int]:
         return self._transition_group.get(Transition(frm, op, to))

@@ -29,7 +29,7 @@ import numpy as np
 from . import edits
 from .engine import Batch, Expectations, beam_width, expectations
 from .errors import NumericalError
-from .lattice import _BestPaths
+from .lattice import _BestPaths, _check_inference
 from .model import FsmModel
 from .optimize import minimize
 
@@ -187,7 +187,7 @@ def e_step(model: FsmModel, corpus, keep_per_pair: bool = True) -> EStepResult:
 def _inference_pass(config: TrainConfig, inference: str = "fb"):
     """The pass that fills a training mode's Expectations: alignment
     posteriors within the beam ("fb"), or each subset's best path
-    ("viterbi", which ignores the beam)."""
+    ("viterbi", which :func:`em_train` runs only without a beam)."""
     if inference == "viterbi":
         return _best_path_expectations
     return functools.partial(expectations, beam=config.beam)
@@ -285,10 +285,10 @@ def em_train(model: FsmModel, corpus, config: TrainConfig, inference: str = "fb"
 
     ``inference="viterbi"`` replaces expected counts and log-partitions by
     the single best alignment per subset (hard EM); the history then
-    tracks the best-path analogue of the likelihood.
+    tracks the best-path analogue of the likelihood.  It takes no beam:
+    a config with one raises ValueError.
     """
-    if inference not in ("fb", "viterbi"):
-        raise ValueError("inference must be 'fb' or 'viterbi'")
+    _check_inference(inference, config.beam)
     labels_present = {p.z for p in corpus}
     if labels_present != {0, 1}:
         logger.warning(

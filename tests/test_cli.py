@@ -141,10 +141,16 @@ def test_inspect_lists_ops_in_registry_order(tmp_path, capsys):
     assert "operations: insert, delete, substitute" in out
 
 
+def config_file(tmp_path, text, name="conf.txt"):
+    path = tmp_path / name
+    path.write_text(text)
+    return path
+
+
 def test_config_file_precedence(tmp_path):
     _, pairs, _, _ = pipeline(tmp_path)
-    config = tmp_path / "conf.txt"
-    config.write_text("em-iters=0\nsigma2=5.0\n")
+    # top names a flag of inspect only, so train ignores it.
+    config = config_file(tmp_path, "em-iters=0\nsigma2=5.0\ntop=3\n")
     m1 = tmp_path / "m1.json"
     # config applies when flag absent
     assert run(["train", "--pairs", pairs, "--config", config, "--out", m1]) == 0
@@ -161,10 +167,48 @@ def test_config_file_precedence(tmp_path):
 
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     _, pairs, _, _ = pipeline(tmp_path)
-    config = tmp_path / "conf.txt"
-    config.write_text("emiters=0\n")
-    assert run(["train", "--pairs", pairs, "--config", config,
-                "--out", tmp_path / "m.json"]) == 1
+    model = tmp_path / "m.json"
+    # config and help name no setting; a bad value is a usage error too.
+    for text in ("emiters=0\n", "config=other.txt\n", "help=1\n", "em_iters=abc\n"):
+        assert run(["train", "--pairs", pairs, "--config", config_file(tmp_path, text),
+                    "--out", model]) == 1
+    assert not model.exists()
+
+
+def test_missing_config_file_is_data_error(tmp_path, capsys):
+    _, pairs, _, _ = pipeline(tmp_path)
+    assert run(["train", "--pairs", pairs, "--config", tmp_path / "nope.conf",
+                "--out", tmp_path / "m.json"]) == 2
+    assert "nope.conf" in capsys.readouterr().err
+
+
+def test_config_direct_true_acts_as_flag(tmp_path):
+    _, pairs, _, _ = pipeline(tmp_path)
+    by_flag, by_config = tmp_path / "flag.json", tmp_path / "config.json"
+    train = ["train", "--pairs", pairs, "--em-iters", 1, "--mstep-iters", 4]
+    assert run(train + ["--direct", "--out", by_flag]) == 0
+    assert run(train + ["--config", config_file(tmp_path, "direct=true\n"), "--out", by_config]) == 0
+    assert by_config.read_bytes() == by_flag.read_bytes()
+
+
+def test_config_fold_swap_false_runs_one_fold(tmp_path):
+    _, pairs, _, _ = pipeline(tmp_path)
+    ablate = ["ablate", "--pairs", pairs, "--variant", "name=ids;ops=insert,delete,substitute",
+              "--em-iters", 0]
+    folds = []
+    for k, extra in enumerate([[], ["--config", config_file(tmp_path, "fold_swap=false\n")]]):
+        out = tmp_path / f"table{k}.tsv"
+        assert run(ablate + extra + ["--out", out]) == 0
+        folds.append(out.read_text().splitlines()[1].split("\t")[2].split(","))
+    assert [len(f) for f in folds] == [2, 1]
+
+
+def test_config_beam_inf_is_exact(tmp_path):
+    _, pairs, model, scores = pipeline(tmp_path)
+    out = tmp_path / "inf.tsv"
+    config = config_file(tmp_path, "beam=inf\n")
+    assert run(["score", "--model", model, "--pairs", pairs, "--config", config, "--out", out]) == 0
+    assert out.read_bytes() == scores.read_bytes()
 
 
 def test_usage_error_exit_code():
@@ -187,6 +231,33 @@ def test_ablate_single_variant(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("run")
 
 
+@pytest.mark.parametrize("field", ["order=3", "order=first-order", "inferense=viterbi"])
+def test_ablate_rejects_bad_variant_field(tmp_path, field):
+    _, pairs, _, _ = pipeline(tmp_path)
+    assert run(["ablate", "--pairs", pairs, "--em-iters", 0, "--variant",
+                f"name=a;ops=insert,delete,substitute;{field}"]) == 1
+
+
+def test_ablate_viterbi_variant_with_beam_reports_error(tmp_path):
+    _, pairs, _, _ = pipeline(tmp_path)
+    out = tmp_path / "table.tsv"
+    code = run(["ablate", "--pairs", pairs, "--em-iters", 0, "--beam", 5, "--variant",
+                "name=hard;ops=insert,delete,substitute;order=2;inference=viterbi", "--out", out])
+    assert code == 0
+    assert "beam applies to fb" in out.read_text().splitlines()[1]
+
+
+def test_viterbi_with_beam_exits_2_and_writes_nothing(tmp_path, capsys):
+    _, pairs, model, _ = pipeline(tmp_path)
+    scores, trained = tmp_path / "vb.tsv", tmp_path / "vb.json"
+    assert run(["score", "--model", model, "--pairs", pairs, "--inference", "viterbi",
+                "--beam", 1, "--out", scores]) == 2
+    assert run(["train", "--pairs", pairs, "--inference", "viterbi", "--beam", 3,
+                "--em-iters", 1, "--out", trained]) == 2
+    assert not scores.exists() and not trained.exists()
+    assert "beam applies to fb" in capsys.readouterr().err
+
+
 def test_synth_zero_noise_identity(tmp_path):
     names = tmp_path / "names.txt"
     names.write_text("alpha beta\n")
@@ -199,9 +270,14 @@ def test_synth_zero_noise_identity(tmp_path):
 
 def test_eval_transitive_closure_flag(tmp_path, capsys):
     _, pairs, _, scores = pipeline(tmp_path)
+    capsys.readouterr()
     assert run(["eval", "--scores", scores, "--pairs", pairs,
                 "--transitive-closure"]) == 0
-    assert "f1=" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "f1=" in out
+    config = config_file(tmp_path, "transitive_closure=yes\n")
+    assert run(["eval", "--scores", scores, "--pairs", pairs, "--config", config]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_score_viterbi_inference(tmp_path):

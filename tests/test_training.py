@@ -363,6 +363,16 @@ def test_beam_width_changes_scores_and_trains_deterministically():
     assert first.history == second.history
 
 
+def test_viterbi_rejects_a_beam():
+    """Best paths come from an exact max sweep, so a beam cannot apply:
+    hard EM and Viterbi scoring refuse one instead of ignoring it."""
+    model = build_model(OPS3)
+    with pytest.raises(ValueError, match="beam applies to fb"):
+        em_train(model, small_mixed(), TrainConfig(beam=2, em_max_iters=1), inference="viterbi")
+    with pytest.raises(ValueError, match="beam applies to fb"):
+        score_pairs(model, small_mixed(), inference="viterbi", beam=2)
+
+
 @pytest.mark.parametrize("width", [2, 3])
 def test_beam_counts_are_the_gradient_of_the_beam_log_partition(width):
     """Under a beam, the unconstrained counts that the M-step uses as the
