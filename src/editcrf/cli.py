@@ -46,7 +46,7 @@ from .evaluation import (
 )
 from .features import build_lexicon, LexiconSet
 from .engine import Batch
-from .lattice import _BestPaths, match_posteriors
+from .lattice import _BestPaths, _check_inference, match_posteriors
 from .model import FIRST_ORDER, SECOND_ORDER, build_model, load_model, save_model
 from .training import TrainConfig, direct_train, em_train
 
@@ -134,8 +134,10 @@ def _set_config_defaults(commands: Dict[str, _Parser], args: argparse.Namespace)
 
     argparse parses a string default with its flag's type, so the next
     parse reads the file's values as it reads flags, and a flag given on
-    the command line still wins.  A key names a flag of any command; one
-    that this command lacks, or a required flag, is ignored.
+    the command line still wins.  argparse never checks a default against
+    the flag's choices, so that check is made here, before any command
+    runs.  A key names a flag of any command; one that this command lacks,
+    or a required flag, is ignored.
     """
     values = _parse_config_file(args.config)
     known = {dest for p in commands.values() for dest in p.flags} - {"help", "config"}
@@ -148,6 +150,14 @@ def _set_config_defaults(commands: Dict[str, _Parser], args: argparse.Namespace)
         flag = command.flags.get(key)
         if flag is None or flag.required:
             continue
+        if flag.choices is not None:
+            try:
+                value = flag.type(text) if flag.type else text
+            except ValueError:
+                value = text
+            if value not in flag.choices:
+                choices = ", ".join(map(str, flag.choices))
+                raise CliError(f"config key {key}: invalid choice {text!r} (choose from {choices})")
         # A store_true flag takes no value, so it has no type to parse one.
         defaults[key] = _parse_bool(key, text) if flag.nargs == 0 else text
     command.set_defaults(**defaults)
@@ -285,6 +295,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_score(args) -> int:
+    _check_inference(args.inference, args.beam)
     model = load_model(args.model)
     pairs = load_pairs(args.pairs)
     lines = ["pair_id\tp_match\tprediction"]
@@ -580,7 +591,7 @@ def build_parser() -> _Parser:
     p.add_argument("--splits", type=int, default=1)
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--split-mode", dest="split_mode", choices=("entity", "pair"), default="pair")
-    p.add_argument("--fold-swap", dest="fold_swap", action="store_true", default=True)
+    p.add_argument("--fold-swap", dest="fold_swap", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--lexicon-top-k", dest="lexicon_top_k", type=int, default=25)
     _add_train_flags(p)
     p.add_argument("--out")

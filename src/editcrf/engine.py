@@ -9,25 +9,30 @@ then pair, then cell, then state, with each pair's start node just before
 its cell (0, 0) on diagonal 0.  The nodes of one diagonal therefore form
 one range of ids, and ids ascend along every edge.
 
-Every pass runs through one sweep routine over one schedule of steps,
-one step per destination diagonal, in one of three semirings.  Forward,
-the steps run in ascending diagonals, read sources and scatter into
-destinations (log-sum for alignment mass, max for best-path scores);
-walked backwards, the same steps read destinations and scatter into
-sources (log-sum for beta, product-sum for the adjoint).  A node's
+Every pass runs over one schedule of steps, one step per destination
+diagonal.  Forward, the steps run in ascending diagonals, read sources and
+scatter into destinations (log-sum for alignment mass, max for best-path
+scores); walked backwards, the same steps read destinations and scatter
+into sources (log-sum for beta, product-sum for the adjoint).  A node's
 in-edges all lie in the step of its own diagonal and its out-edges in
 later ones, so in either direction a node is complete before a step
-reads it.  A semiring's plus is NumPy's unbuffered ``ufunc.at`` scatter,
-which folds the values into each node in edge order; a forward log-sum
-scatters each node's max first and adds exps shifted by it.  A beam
-reruns the forward sweep with the cut nodes' outgoing potentials at -inf.
+reads it.  A scatter is NumPy's unbuffered ``ufunc.at``, which folds the
+values into each node in edge order; a forward log-sum scatters each
+node's max first and adds exps shifted by it.  A beam reruns the forward
+sweep with the cut nodes' outgoing potentials at -inf.
 
-Expected feature counts are the gradient of log Z.  They come from the
-log-space forward alone plus one backward product-sum sweep in
-probability space, whose node values are posteriors in [0, 1] within a
-subset (see :meth:`Batch._subset_posteriors`), so they need no rescaling
-and a beam's counts are the gradient of its pruned log Z.  The log-space
-backward sweep serves only callers that read beta.
+Expected feature counts are the gradient of log Z.  The forward that
+training runs keeps what its log-sum steps compute: each edge's shifted
+exp and the reciprocal of each node's sum of them, whose product is the
+edge's share of its destination's mass (see :class:`Shares`).  Each count
+set asked is then one backward product-sum sweep over those shares in
+probability space, seeded at accepting nodes: the unconstrained counts at
+all of them with exp(alpha - log Z), the counts clamped to a pair's
+labelled subset at that subset's only, with exp(alpha - its log Z).  Node
+values are posteriors in [0, 1], so they need no rescaling, and under a
+beam the shares are the cut sweep's, so a beam's counts are the gradient
+of its pruned log Z.  The log-space backward sweep serves only callers
+that read beta.
 
 A batch is compiled in one pass over all of its pairs.  Their strings are
 concatenated once, every (i, j) cell of every pair is one row of a flat
@@ -318,21 +323,14 @@ def _by_diagonal(diag: np.ndarray, n_diags: int) -> np.ndarray:
     return diag.astype(np.min_scalar_type(n_diags - 1)).argsort(kind="stable")
 
 
-class Semiring(NamedTuple):
-    """How a sweep step joins each read node value with its edge's weight
-    (times) and folds the joined values into the nodes they write (plus, a
-    ufunc whose unbuffered ``at`` scatter folds them in edge order)."""
-
-    times: np.ufunc
-    plus: np.ufunc
+# The sweeps' two semirings, each named by its plus: the ufunc whose
+# unbuffered ``at`` scatter folds a step's values into the nodes they
+# write, in edge order.  Both take + as times.
+LOG_SUM = np.logaddexp
+MAX = np.maximum
 
 
-LOG_SUM = Semiring(np.add, np.logaddexp)
-MAX = Semiring(np.add, np.maximum)
-PRODUCT_SUM = Semiring(np.multiply, np.add)
-
-
-def _sweep(steps: List[_Step], values: np.ndarray, w: np.ndarray, semiring: Semiring, reverse=False) -> np.ndarray:
+def _sweep(steps: List[_Step], values: np.ndarray, w: np.ndarray, semiring: np.ufunc, reverse=False) -> np.ndarray:
     """Run the steps over node values in place, with w the edge weights.
 
     Forward, steps run in ascending diagonals, read sources and scatter into
@@ -347,9 +345,10 @@ def _sweep(steps: List[_Step], values: np.ndarray, w: np.ndarray, semiring: Semi
     sum of their exps shifted by it, and writes log(sum) + max to the
     diagonal's node range.  That is the one step that overwrites nodes; a
     node on the diagonal without in-edges gets -inf, its starting value.
+    This sweep drops the exps and sums once a step has used them; the
+    forward that training runs keeps them (see :func:`_log_sum_shares`).
     """
-    times, plus = semiring
-    shifted = plus is np.logaddexp and not reverse
+    shifted = semiring is LOG_SUM and not reverse
     if shifted:
         shift = np.full(len(values), _FLOOR)
         total = np.zeros(len(values))
@@ -357,9 +356,9 @@ def _sweep(steps: List[_Step], values: np.ndarray, w: np.ndarray, semiring: Semi
         for lo, hi, src, dst, a, z in (steps[::-1] if reverse else steps):
             read, write = (dst, src) if reverse else (src, dst)
             vals = values.take(read)
-            times(vals, w[lo:hi], out=vals)
+            vals += w[lo:hi]
             if not shifted:
-                plus.at(values, write, vals)
+                semiring.at(values, write, vals)
                 continue
             np.maximum.at(shift, dst, vals)
             vals -= shift.take(dst)
@@ -369,6 +368,42 @@ def _sweep(steps: List[_Step], values: np.ndarray, w: np.ndarray, semiring: Semi
             np.log(total[a:z], out=out)
             out += shift[a:z]
     return values
+
+
+class Shares(NamedTuple):
+    """What a forward log-sum sweep keeps for its adjoint: e, each edge's
+    exp(alpha[src] + w - shift[dst]), the exp its step scatters; and scale,
+    each node's 1 / total, the reciprocal of the sum of the exps into it,
+    0 at a node that no mass reaches.  As alpha[dst] = log(total[dst]) +
+    shift[dst], an edge's share exp(alpha[src] + w - alpha[dst]) of its
+    destination's mass is e * scale[dst]."""
+
+    e: np.ndarray
+    scale: np.ndarray
+
+
+def _log_sum_shares(steps: List[_Step], values: np.ndarray, w: np.ndarray) -> Shares:
+    """The forward log-sum sweep of :func:`_sweep`, which writes every
+    step's shifted exps into one per-edge array and keeps every node's sum
+    of them; returns the :class:`Shares` of the sweep."""
+    shift = np.full(len(values), _FLOOR)
+    total = np.zeros(len(values))
+    e = np.empty(len(w))
+    with np.errstate(divide="ignore"):
+        for lo, hi, src, dst, a, z in steps:
+            vals = values.take(src)
+            vals += w[lo:hi]
+            np.maximum.at(shift, dst, vals)
+            vals -= shift.take(dst)
+            exps = e[lo:hi]
+            np.exp(vals, out=exps)
+            np.add.at(total, dst, exps)
+            out = values[a:z]
+            np.log(total[a:z], out=out)
+            out += shift[a:z]
+    # A node's total is at least 1, its largest term's exp, when any mass
+    # reaches it, and 0, kept as the scale, otherwise.
+    return Shares(e, np.divide(1.0, total, out=total, where=total > 0))
 
 
 class Batch:
@@ -580,25 +615,37 @@ class Batch:
         cut[self.acc0] = cut[self.acc1] = False
         return cut
 
-    def forward(self, w: np.ndarray, beam: Optional[int] = None) -> Tuple[np.ndarray, bool]:
-        """Forward pass; returns (alpha, pruned_mass_flag).
+    def forward(self, w: np.ndarray, beam: Optional[int] = None, shares: bool = False):
+        """Forward pass; returns (alpha, pruned_mass_flag), and with shares
+        (alpha, pruned_mass_flag, the sweep's :class:`Shares`), which
+        :meth:`posterior_counts` reads.
 
         With a finite beam, the exact sweep ranks the nodes, and a second
         sweep runs with the outgoing weights of the nodes outside the beam
-        at -inf (see :meth:`_beam_cut`).  The result is a lower bound on
-        alignment mass that never decreases as the beam widens, and the
-        flag is set only when a node with finite mass was cut.
+        at -inf (see :meth:`_beam_cut`); the shares are then that sweep's.
+        The result is a lower bound on alignment mass that never decreases
+        as the beam widens, and the flag is set only when a node with
+        finite mass was cut.
         """
         beam = beam_width(beam)
-        alpha = self._sweep_forward(w)
-        if beam is None:
-            return alpha, False
-        cut = self._beam_cut(alpha, beam)
-        if not np.isfinite(alpha[cut]).any():
-            return alpha, False
-        alpha = self._sweep_forward(np.where(cut[self.src], NEG_INF, w))
-        alpha[cut] = NEG_INF
-        return alpha, True
+        alpha, kept = self._log_sum_forward(w, shares)
+        pruned = False
+        if beam is not None:
+            cut = self._beam_cut(alpha, beam)
+            if np.isfinite(alpha[cut]).any():
+                alpha, kept = self._log_sum_forward(np.where(cut[self.src], NEG_INF, w), shares)
+                alpha[cut] = NEG_INF
+                pruned = True
+        return (alpha, pruned, kept) if shares else (alpha, pruned)
+
+    def _log_sum_forward(self, w: np.ndarray, shares: bool) -> Tuple[np.ndarray, Optional[Shares]]:
+        """Alpha from one log-sum sweep, and the sweep's shares when asked,
+        else None."""
+        if not shares:
+            return self._sweep_forward(w), None
+        alpha = np.full(self.n_nodes, NEG_INF)
+        alpha[self.start_ids] = 0.0
+        return alpha, _log_sum_shares(self._steps, alpha, w)
 
     def backward(self, w: np.ndarray) -> np.ndarray:
         beta = np.full(self.n_nodes, NEG_INF)
@@ -626,7 +673,7 @@ class Batch:
 
     def posterior_counts(
         self,
-        w: np.ndarray,
+        shares: Shares,
         alpha: np.ndarray,
         lz0: np.ndarray,
         lz1: np.ndarray,
@@ -634,22 +681,66 @@ class Batch:
         labels: Optional[np.ndarray] = None,
         by_pair: bool = False,
     ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray]]:
-        """Expected feature counts from one probability-space adjoint sweep.
+        """Expected feature counts, one adjoint sweep per set asked, over the
+        shares of the forward sweep that gave alpha.
 
         Returns the unconstrained counts when logz is given, the counts
         clamped to each pair's labelled subset when labels are, and with
         by_pair also the clamped counts with one row per pair; None for
-        what was not asked.  Both sets weight the same edge posteriors
-        within a subset (see :meth:`_subset_posteriors`): the unconstrained
-        ones by P(subset | pair) = exp(lz_subset - log Z) <= 1, the clamped
-        ones by 1 on the labelled subset and 0 on the other.
+        what was not asked.  The unconstrained adjoint is seeded at every
+        accepting node with exp(alpha - log Z); the clamped one at the
+        labelled subset's accepting nodes only, with exp(alpha - that
+        subset's log Z), and at the other subset's with 0, as exp(-inf),
+        which cannot overflow however little mass the labelled subset
+        holds.  The shares are spent: the last adjoint writes its edge
+        posteriors over their e, and an earlier one works on a copy.
         """
-        lz = np.stack((lz0, lz1), axis=1)
-        return self.subset_counts(self._subset_posteriors(w, alpha, lz), lz, logz, labels, by_pair)
+        counts_all = clamped = clamped_by_pair = None
+        e, scale = shares
+        acc = alpha.take(self._accepting)
+        if logz is not None:
+            p = self._edge_posteriors(e if labels is None else e.copy(), scale, acc - logz[:, None])
+            counts_all = self.feature_counts(p)
+        if labels is not None:
+            lz_true = np.where(labels == 1, lz1, lz0)
+            in_s1 = np.arange(acc.shape[1]) >= len(self.model.topology.s0)
+            seed = np.where(in_s1 == (labels[:, None] == 1), acc - lz_true[:, None], NEG_INF)
+            p = self._edge_posteriors(e, scale, seed)
+            clamped = self.feature_counts(p)
+            if by_pair:
+                clamped_by_pair = self.counts_by_pair(p)
+        return counts_all, clamped, clamped_by_pair
+
+    def _edge_posteriors(self, e: np.ndarray, scale: np.ndarray, seed: np.ndarray) -> np.ndarray:
+        """Every edge's posterior, written over the shares' e, from one
+        adjoint of the forward log-sum sweep, run in the product-sum
+        semiring in probability space, with node values mu seeded at the
+        accepting nodes, one row per pair, as exp(seed).
+
+        mu flows back as mu[src] += mu[dst] * q, with q = e * scale[dst]
+        the edge's share of its destination's mass (see :class:`Shares`).
+        Walked backwards, a step first scales the mu of its diagonal's
+        nodes, complete by then, so that it scatters e * mu[dst], which is
+        the edge's posterior.  Seeds and node values lie in [0, 1], so
+        nothing needs rescaling.
+        """
+        mu = np.zeros(self.n_nodes)
+        mu[self._accepting] = np.exp(seed)
+        for lo, hi, src, dst, a, z in reversed(self._steps):
+            nodes = mu[a:z]
+            nodes *= scale[a:z]
+            edges = e[lo:hi]
+            edges *= mu.take(dst)
+            np.add.at(mu, src, edges)
+        return e
 
     def subset_counts(self, p, lz, logz=None, labels=None, by_pair=False):
-        """The counts of :meth:`posterior_counts` with the per-edge mass p,
-        which is overwritten, in place of the edge posteriors."""
+        """The counts of :meth:`posterior_counts` from a per-edge mass p
+        given within each subset, which is overwritten, and the subsets'
+        log-partitions lz, one (lz0, lz1) row per pair: the unconstrained
+        counts weight a subset's edges by P(subset | pair) = exp(lz_subset
+        - log Z) <= 1, the clamped ones by 1 on the labelled subset and 0
+        on the other."""
         counts_all = clamped = clamped_by_pair = None
         if logz is not None:
             share = np.exp(lz - logz[:, None])
@@ -660,34 +751,6 @@ class Batch:
             if by_pair:
                 clamped_by_pair = self.counts_by_pair(p)
         return counts_all, clamped, clamped_by_pair
-
-    def _subset_posteriors(self, w: np.ndarray, alpha: np.ndarray, lz: np.ndarray) -> np.ndarray:
-        """P(edge | pair, the edge's subset) of every edge, given the
-        subsets' log-partitions lz, one (lz0, lz1) row per pair: the
-        adjoint of the forward log-sum sweep, run in probability space.
-
-        Each edge carries the share q = exp(alpha[src] + w - alpha[dst]) of
-        its destination's mass, 0 into a node that no path reaches.  Node
-        posteriors mu start at the accepting nodes as exp(alpha - lz of the
-        node's subset) and flow back as mu[src] = sum of mu[dst] * q in the
-        product-sum semiring; S0 and S1 share no node after q0, so one
-        vector serves both subsets.  An edge's posterior is mu[dst] * q.
-        Every quantity lies in [0, 1], so nothing needs rescaling, and with
-        a beam's alpha the result is the gradient of the beam's log Z.
-        """
-        # exp(x - +inf) = 0 where x - -inf would give exp(NaN) or exp(+inf).
-        lower = np.where(np.isneginf(alpha), np.inf, alpha)
-        q = alpha[self.src]
-        q += w
-        q -= lower[self.dst]
-        np.exp(q, out=q)
-        lz = np.where(np.isneginf(lz), np.inf, lz)
-        mu = np.zeros(self.n_nodes)
-        mu[self.acc0] = np.exp(alpha[self.acc0] - lz[:, :1])
-        mu[self.acc1] = np.exp(alpha[self.acc1] - lz[:, 1:])
-        _sweep(self._steps, mu, q, PRODUCT_SUM, reverse=True)
-        q *= mu[self.dst]
-        return q
 
     def feature_counts(self, edge_mass: np.ndarray) -> np.ndarray:
         """Feature counts of a per-edge mass: a bincount over signatures, then over their features."""
@@ -743,7 +806,10 @@ def expectations(
     true-label subset, the E-step quantity, and with per_pair each pair's.
     """
     w = batch.edge_weights(params)
-    alpha, pruned = batch.forward(w, beam)
+    if want_counts or labels is not None:
+        alpha, pruned, shares = batch.forward(w, beam, shares=True)
+    else:
+        (alpha, pruned), shares = batch.forward(w, beam), None
     lz0, lz1 = batch.log_partitions(alpha)
     logz = np.logaddexp(lz0, lz1)
     batch.check_paths(logz, "unconstrained")
@@ -751,9 +817,9 @@ def expectations(
     if labels is not None:
         labels = np.asarray(labels)
         batch.check_paths(np.where(labels == 1, lz1, lz0), "true-label subset")
-    if want_counts or labels is not None:
+    if shares is not None:
         counts_all, counts_clamped, clamped_by_pair = batch.posterior_counts(
-            w, alpha, lz0, lz1, logz if want_counts else None, labels, per_pair
+            shares, alpha, lz0, lz1, logz if want_counts else None, labels, per_pair
         )
     return Expectations(
         lz0=lz0,

@@ -17,7 +17,7 @@ from .data import LabeledPair, split_pairs
 from .engine import Batch
 from .errors import EditCrfError
 from .features import build_lexicon
-from .lattice import match_posteriors
+from .lattice import _check_inference, match_posteriors
 from .model import FIRST_ORDER, FsmModel, build_model
 from .training import TrainConfig, em_train
 
@@ -140,6 +140,7 @@ def score_pairs(
     model: FsmModel, pairs: Sequence[LabeledPair], inference: str = "fb", beam: Optional[int] = None
 ) -> List[Scored]:
     """Match posteriors for a pair list, in input order."""
+    _check_inference(inference, beam)
     if not pairs:
         return []
     batch = Batch(model, [(p.x, p.y) for p in pairs], pair_ids=[p.pair_id for p in pairs])

@@ -203,6 +203,45 @@ def test_config_fold_swap_false_runs_one_fold(tmp_path):
     assert [len(f) for f in folds] == [2, 1]
 
 
+def test_ablate_no_fold_swap_reaches_run_ablation(tmp_path, monkeypatch):
+    import editcrf.cli as cli
+
+    _, pairs, _, _ = pipeline(tmp_path)
+    seen = []
+    real = cli.run_ablation
+
+    def recording_run_ablation(*args, **kwargs):
+        seen.append(kwargs["fold_swap"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_ablation", recording_run_ablation)
+    ablate = ["ablate", "--pairs", pairs, "--variant", "name=ids;ops=insert,delete,substitute",
+              "--em-iters", 0]
+    for extra in ([], ["--fold-swap"], ["--no-fold-swap"]):
+        assert run(ablate + extra) == 0
+    assert seen == [True, True, False]
+
+
+def test_config_choice_is_checked_before_the_command_runs(tmp_path, capsys):
+    """A config value outside its flag's choices is a usage error, as on
+    the command line, and the command writes nothing."""
+    records, pairs, model, _ = pipeline(tmp_path)
+    outs = [tmp_path / name for name in ("all.tsv", "train.tsv", "test.tsv")]
+    split = ["pairs", "--records", records, "--out", outs[0], "--train-out", outs[1], "--test-out", outs[2]]
+    assert run(split + ["--config", config_file(tmp_path, "split_mode=cluster\n")]) == 1
+    assert not any(out.exists() for out in outs)
+    assert "invalid choice 'cluster'" in capsys.readouterr().err
+    scores = tmp_path / "greedy.tsv"
+    score = ["score", "--model", model, "--pairs", pairs, "--out", scores]
+    assert run(score + ["--inference", "greedy"]) == 1
+    assert run(score + ["--config", config_file(tmp_path, "inference=greedy\n")]) == 1
+    assert not scores.exists()
+    # A typed flag's value is parsed before it is checked.
+    trained = tmp_path / "m.json"
+    assert run(["train", "--pairs", pairs, "--out", trained, "--config", config_file(tmp_path, "order=3\n")]) == 1
+    assert not trained.exists()
+
+
 def test_config_beam_inf_is_exact(tmp_path):
     _, pairs, model, scores = pipeline(tmp_path)
     out = tmp_path / "inf.tsv"
@@ -317,6 +356,18 @@ def test_score_rejects_invalid_beam(tmp_path, capsys, width):
     assert run(["score", "--model", model_path, "--pairs", pairs_path, "--beam", width, "--out", out]) == 2
     assert not out.exists()
     assert "beam width must be >= 1 when finite" in capsys.readouterr().err
+
+
+def test_score_checks_inference_and_beam_without_pairs(tmp_path, capsys):
+    model_path, empty, out = tmp_path / "m.json", tmp_path / "empty.tsv", tmp_path / "s.tsv"
+    save_model(build_model(["insert", "delete", "substitute"]), model_path)
+    save_pairs([], empty)
+    assert run(["score", "--model", model_path, "--pairs", empty, "--inference", "viterbi",
+                "--beam", 3, "--out", out]) == 2
+    assert not out.exists()
+    assert "beam applies to fb" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="beam applies to fb"):
+        score_pairs(build_model(["insert", "delete", "substitute"]), [], inference="viterbi", beam=3)
 
 
 def test_score_pairs_rejects_invalid_beam():

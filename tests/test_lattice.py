@@ -703,8 +703,9 @@ def test_compiled_edge_order(order):
 
 def test_forward_only_work_builds_no_backward_order():
     """score_pairs and posterior_match run forward and log_partitions
-    only, which leave the per-edge pair arrays unbuilt; counts build them,
-    and equal those of a fresh batch."""
+    only, and soft-EM counts seed their adjoints at accepting nodes, so
+    neither builds the per-edge pair arrays; the counts equal those of a
+    fresh batch."""
     model = build_model(["insert", "delete", "substitute"] + SKIP_PRESENT, "first-order")
     model = model.with_params(np.random.default_rng(11).uniform(-1, 1, model.n_features))
     pairs = [("john smith", "smith john"), ("kitten", "sitting"), ("a b", "b")]
@@ -713,7 +714,7 @@ def test_forward_only_work_builds_no_backward_order():
     batch.log_partitions(batch.forward(batch.edge_weights(model.params))[0])
     assert "pair_subset" not in vars(batch) and "pair_of_edge" not in vars(batch)
     got = expectations(batch, model.params, labels)
-    assert "pair_subset" in vars(batch) and "pair_of_edge" in vars(batch)
+    assert "pair_subset" not in vars(batch) and "pair_of_edge" not in vars(batch)
     fresh = expectations(Batch(model, pairs), model.params, labels)
     np.testing.assert_array_equal(got.counts_all, fresh.counts_all)
     np.testing.assert_array_equal(got.counts_clamped, fresh.counts_clamped)
@@ -781,11 +782,15 @@ def test_sweeps_match_reference_recursion(x, y, order, seed):
     np.testing.assert_array_equal(batch._sweep_forward(w, semiring=MAX), best)
 
 
-def _reference_counts(batch, w, labels):
+def _reference_counts(batch, w, labels, beam=None):
     """Unconstrained, clamped and per-pair clamped counts from log-space
     edge posteriors exp(alpha[src] + w + beta[dst] - lz), with beta from
-    the log-space backward sweep and features summed by a sparse product."""
-    alpha, _ = batch.forward(w)
+    the log-space backward sweep and features summed by a sparse product.
+    With a beam, alpha is the beam's and w has the cut nodes' outgoing
+    weights at -inf, so the counts are the gradient of the beam's log Z."""
+    alpha, _ = batch.forward(w, beam)
+    if beam is not None:
+        w = np.where(batch._beam_cut(batch.forward(w)[0], beam)[batch.src], -np.inf, w)
     beta = batch.backward(w)
     lz0, lz1 = batch.log_partitions(alpha)
     pair, subset = np.divmod(batch.pair_subset, 2)
@@ -845,6 +850,68 @@ def test_adjoint_counts_match_log_space_reference(pairs, order, seed):
     for got, want in ((exp.counts_all, want_all), (exp.counts_clamped, want_clamped), (exp.clamped_by_pair, want_by_pair)):
         assert np.all(np.isfinite(got))
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
+_MIXED_PAIRS = [("a", "b"), ("john a. smith", "smith, john"), ("", "ab"), ("abcdefghij klm", "abc"), ("xy", "")]
+# Pairs that keep a complete alignment within beams of width 1 to 3 under
+# the weights of test_counts_match_log_space_reference_within_a_beam.
+_BEAM_PAIRS = [("a", "b"), ("ab", "ba"), ("", "ab"), ("xy", ""), ("a b", "b a"), ("ab cd", "cd")]
+
+
+def test_unconstrained_counts_do_not_depend_on_labels():
+    """An M-step evaluation and an E-step at the same point give the same
+    unconstrained counts, bit for bit."""
+    model0 = _PROPERTY_MODELS["second-order"]
+    params = np.random.default_rng(17).uniform(-2, 2, model0.n_features)
+    batch = Batch(model0, _MIXED_PAIRS)
+    labels = np.array([1, 0, 1, 0, 1])
+    alone = expectations(batch, params)
+    with_labels = expectations(batch, params, labels, per_pair=True)
+    assert alone.counts_clamped is None
+    assert np.array_equal(alone.counts_all, with_labels.counts_all)
+
+
+@pytest.mark.parametrize("beam", [None, 1, 2, 3])
+def test_counts_match_log_space_reference_within_a_beam(beam):
+    """Counts from the forward's kept shares, on a second-order model with
+    skip operations, whose lattices hold nodes that no edge enters, equal
+    the log-space reference to rel 1e-12, within each beam too."""
+    model0 = _PROPERTY_MODELS["second-order"]
+    params = np.random.default_rng(23).uniform(-2, 2, model0.n_features)
+    batch = Batch(model0, _BEAM_PAIRS)
+    entered = np.zeros(batch.n_nodes, dtype=bool)
+    entered[batch.dst] = True
+    entered[batch.start_ids] = True
+    assert not entered.all()
+    w = batch.edge_weights(params)
+    # A narrow beam can cut every path of one subset; label the other.
+    lz0, lz1 = batch.log_partitions(batch.forward(w, beam)[0])
+    labels = np.array([1, 0, 1, 0, 1, 0])
+    labels = np.where(np.isfinite(np.where(labels == 1, lz1, lz0)), labels, 1 - labels)
+    exp = expectations(batch, params, labels, beam=beam, per_pair=True)
+    assert exp.pruned == (beam is not None)
+    want = _reference_counts(batch, w, labels, beam)
+    for got, want in zip((exp.counts_all, exp.counts_clamped, exp.clamped_by_pair), want):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
+
+
+def test_clamped_counts_exact_when_the_labelled_subset_is_negligible():
+    """With +50 on S1 and -50 on S0, the labelled S0 holds less than 1e-308
+    of the pair's mass; its clamped counts still match the reference, and
+    equal those under -50 on S1 too, as S0's paths do not touch S1."""
+    model0 = _PROPERTY_MODELS["first-order"]
+    pairs, labels = [("abcdefgh", "abcdefgh"), ("xyz", "xzy")], np.array([0, 0])
+    batch = Batch(model0, pairs)
+    params = _split_weights(model0, 50.0)
+    exp = expectations(batch, params, labels, per_pair=True)
+    assert np.exp(exp.lz0[0] - exp.logz[0]) < 1e-308
+    want = _reference_counts(batch, batch.edge_weights(params), labels)
+    for got, want in zip((exp.counts_clamped, exp.clamped_by_pair), want[1:]):
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
+    s0_only = expectations(batch, -np.abs(params), labels, per_pair=True)
+    assert np.exp(s0_only.lz0[0] - s0_only.logz[0]) > 0.1
+    np.testing.assert_allclose(exp.counts_clamped, s0_only.counts_clamped, rtol=1e-12, atol=1e-13)
 
 
 def _sparse_counts_by_pair(batch, edge_mass):
