@@ -451,7 +451,7 @@ class Batch:
         in_batch = np.bincount(mask_id, minlength=len(mask_bits)) > 0
         mask_id = (in_batch.cumsum(dtype=np.int32) - 1).take(mask_id)
         mask_bits = mask_bits[in_batch]
-        frm, op_idx, to, group, _ = rt.transitions.T
+        frm, op_idx, to, group = rt.transitions.T
         # Every application of an operation, once per transition of that
         # operation: transitions from q0 apply at cell (0, 0) only.  Edges
         # are emitted in transition order and then sorted.
@@ -561,23 +561,14 @@ class Batch:
         return table
 
     # Every edge's destination lies past diagonal 0, where node n_pairs +
-    # rank * n_states + state is in the cell of that rank; training reads
-    # the two per-edge arrays below from that, without the node table.
+    # rank * n_states + state is in the cell of that rank; per-pair counts
+    # read the per-edge array below from that, without the node table.
 
     @cached_property
     def pair_of_edge(self) -> np.ndarray:
         """Pair of each edge."""
         by_rank = self._cells_by_rank()[0].astype(np.int32)
         return by_rank.take((self.dst - self.n_pairs) // len(self.runtime.states))
-
-    @cached_property
-    def pair_subset(self) -> np.ndarray:
-        """Index of each edge's (pair, subset) in a flat (n_pairs, 2)
-        table; an edge's subset is that of its target state."""
-        _, _, to, _, subset = self.runtime.transitions.T
-        state_subset = np.zeros(len(self.runtime.states), dtype=np.intp)
-        state_subset[to] = subset
-        return 2 * self.pair_of_edge + state_subset.take((self.dst - self.n_pairs) % len(state_subset))
 
     # -- sweeps -------------------------------------------------------
 
@@ -733,24 +724,6 @@ class Batch:
             edges *= mu.take(dst)
             np.add.at(mu, src, edges)
         return e
-
-    def subset_counts(self, p, lz, logz=None, labels=None, by_pair=False):
-        """The counts of :meth:`posterior_counts` from a per-edge mass p
-        given within each subset, which is overwritten, and the subsets'
-        log-partitions lz, one (lz0, lz1) row per pair: the unconstrained
-        counts weight a subset's edges by P(subset | pair) = exp(lz_subset
-        - log Z) <= 1, the clamped ones by 1 on the labelled subset and 0
-        on the other."""
-        counts_all = clamped = clamped_by_pair = None
-        if logz is not None:
-            share = np.exp(lz - logz[:, None])
-            counts_all = self.feature_counts(p * share.ravel().take(self.pair_subset))
-        if labels is not None:
-            p *= (labels[:, None] == (0, 1)).ravel().take(self.pair_subset)
-            clamped = self.feature_counts(p)
-            if by_pair:
-                clamped_by_pair = self.counts_by_pair(p)
-        return counts_all, clamped, clamped_by_pair
 
     def feature_counts(self, edge_mass: np.ndarray) -> np.ndarray:
         """Feature counts of a per-edge mass: a bincount over signatures, then over their features."""

@@ -139,7 +139,12 @@ def fold_report(fold_scores: Sequence[Sequence[Scored]], threshold: float = 0.5)
 def score_pairs(
     model: FsmModel, pairs: Sequence[LabeledPair], inference: str = "fb", beam: Optional[int] = None
 ) -> List[Scored]:
-    """Match posteriors for a pair list, in input order."""
+    """Match posteriors for a pair list, in input order.
+
+    A narrow beam can cut every path of a pair.  This raises
+    NoPathError naming the first pair left with no complete alignment,
+    while ``editcrf score`` writes NA for each such pair and exits 3.
+    """
     _check_inference(inference, beam)
     if not pairs:
         return []

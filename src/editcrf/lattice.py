@@ -183,14 +183,20 @@ class _BestPaths:
             out[p] = min(acc[p][vals[p] == best[p]], key=lambda n: self._key(self.parents()[n]))
         return out
 
-    def path_edges(self, nodes: np.ndarray) -> np.ndarray:
-        """Edges of the best paths ending at the given nodes, traced together."""
-        parent, out = self.parents(), []
+    def path_mass(self, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """One float per edge: weights[i] on every edge of the best path
+        that ends at nodes[i], 0 on the others, with the paths traced
+        together.  A pair's S0 and S1 paths share no node after q0, and two
+        pairs share no node at all, so paths given for different (pair,
+        subset)s share no edge and one assignment per step is exact."""
+        parent, mass = self.parents(), np.zeros(self.batch.n_edges)
         k = parent[nodes]
         while len(k):
-            out.append(k[k >= 0])
-            k = parent[self.batch.src[out[-1]]]
-        return np.concatenate(out)
+            on = k >= 0
+            k, weights = k[on], weights[on]
+            mass[k] = weights
+            k = parent[self.batch.src[k]]
+        return mass
 
     def alignment(self, pair: int, constraint: Constraint) -> Alignment:
         """A pair's best alignment under the constraint."""

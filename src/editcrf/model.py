@@ -68,7 +68,7 @@ class Group(NamedTuple):
 
 class TransitionTable(NamedTuple):
     """The transitions as read-only index rows (from-state index or -1 for
-    q0, op index, to-state index, group, subset) in topology order, with
+    q0, op index, to-state index, group) in topology order, with
     states indexed S0 first, then S1."""
 
     states: Tuple[int, ...]
@@ -181,12 +181,11 @@ class FsmModel:
                     op_index[t.op],
                     state_index[t.to],
                     self._transition_group[t],
-                    self.topology.subset_of(t.to),
                 )
                 for t in self.topology.transitions
             ],
             dtype=np.int64,
-        ).reshape(-1, 5)
+        ).reshape(-1, 4)
         rows.setflags(write=False)
         return TransitionTable(states, MappingProxyType(state_index), rows)
 

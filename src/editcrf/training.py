@@ -195,15 +195,21 @@ def _inference_pass(config: TrainConfig, inference: str = "fb"):
 
 def _best_path_expectations(batch, params, labels=None) -> Expectations:
     """Expectations of hard EM from one max sweep: the subsets' best-path
-    scores as lz0 and lz1, and counts weighting the edges of both best
-    paths as posterior counts weight edge posteriors."""
+    scores as lz0 and lz1, and counts of the edges of both best paths,
+    which stand in for the edge posteriors: the unconstrained counts give
+    a subset's path the weight P(subset | pair) = exp(lz_subset - log Z),
+    the clamped ones 1 to the labelled subset's path and 0 to the other."""
     paths = _BestPaths(batch, batch.edge_weights(params))
     lz = np.stack(paths.subset_scores(), axis=1)
+    # best_nodes gives -1 for a subset with no path, so check before tracing.
     batch.check_paths(lz.min(axis=1), "S0 or S1")
     logz = np.logaddexp(lz[:, 0], lz[:, 1])
-    on_path = np.zeros(batch.n_edges)
-    on_path[paths.path_edges(np.concatenate((paths.best_nodes(0), paths.best_nodes(1))))] = 1.0
-    counts_all, clamped, _ = batch.subset_counts(on_path, lz, logz, labels)
+    # Every pair's S0 path, then every pair's S1 path.
+    nodes = np.concatenate((paths.best_nodes(0), paths.best_nodes(1)))
+    counts_all = batch.feature_counts(paths.path_mass(nodes, np.exp(lz - logz[:, None]).T.ravel()))
+    clamped = None
+    if labels is not None:
+        clamped = batch.feature_counts(paths.path_mass(nodes, (labels == [[0], [1]]).ravel()))
     return Expectations(lz[:, 0], lz[:, 1], logz, counts_all, clamped, pruned=False)
 
 

@@ -712,9 +712,9 @@ def test_forward_only_work_builds_no_backward_order():
     labels = np.array([1, 0, 1])
     batch = Batch(model, pairs)
     batch.log_partitions(batch.forward(batch.edge_weights(model.params))[0])
-    assert "pair_subset" not in vars(batch) and "pair_of_edge" not in vars(batch)
+    assert "pair_of_edge" not in vars(batch)
     got = expectations(batch, model.params, labels)
-    assert "pair_subset" not in vars(batch) and "pair_of_edge" not in vars(batch)
+    assert "pair_of_edge" not in vars(batch)
     fresh = expectations(Batch(model, pairs), model.params, labels)
     np.testing.assert_array_equal(got.counts_all, fresh.counts_all)
     np.testing.assert_array_equal(got.counts_clamped, fresh.counts_clamped)
@@ -793,7 +793,8 @@ def _reference_counts(batch, w, labels, beam=None):
         w = np.where(batch._beam_cut(batch.forward(w)[0], beam)[batch.src], -np.inf, w)
     beta = batch.backward(w)
     lz0, lz1 = batch.log_partitions(alpha)
-    pair, subset = np.divmod(batch.pair_subset, 2)
+    pair, _, _, state = batch._node_table[:, batch.dst]
+    subset = (state >= len(batch.model.topology.s0)).astype(int)
     log_mass = alpha[batch.src] + w + beta[batch.dst]
     p_all = np.exp(log_mass - np.logaddexp(lz0, lz1)[pair])
     p_true = np.exp(np.where(subset == labels[pair], log_mass - np.where(labels == 1, lz1, lz0)[pair], -np.inf))

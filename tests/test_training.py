@@ -504,6 +504,22 @@ def test_best_path_clamped_counts_are_the_labelled_alignments_counts(order):
         np.testing.assert_allclose(exp.counts_all, mean, rtol=1e-12, atol=1e-12)
 
 
+def test_best_path_counts_build_no_per_edge_pair_table():
+    """Hard-EM counts weight each best path as it is traced, so they read
+    no per-edge pair array; the counts equal those of a fresh batch."""
+    model = build_model(OPS3, order="second-order")
+    corpus = mixed_longer()
+    labels = np.array([p.z for p in corpus], dtype=np.int8)
+    pairs = [(p.x, p.y) for p in corpus]
+    params = np.random.default_rng(5).standard_normal(model.n_features)
+    batch = Batch(model, pairs)
+    got = training._best_path_expectations(batch, params, labels)
+    assert "pair_of_edge" not in vars(batch)
+    fresh = training._best_path_expectations(Batch(model, pairs), params, labels)
+    np.testing.assert_array_equal(got.counts_all, fresh.counts_all)
+    np.testing.assert_array_equal(got.counts_clamped, fresh.counts_clamped)
+
+
 def test_grad_check_small_corpus():
     model = build_model(OPS3)
     rng = np.random.default_rng(13)
